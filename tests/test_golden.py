@@ -1,0 +1,86 @@
+"""Byte-for-byte golden outputs for every report in every format.
+
+Covers each CLI subcommand on ``tests/data/golden_cohort.csv`` (ties, a
+comma and a double quote in names, an uncited-publications sidecar),
+``reproduce --table 1..5``, and library emits of the report types the CLI
+never produces.  After an intended output change, regenerate the files in
+``tests/golden/`` with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from bibindex import (
+    AggregateTable,
+    CitationRecord,
+    ProfileReport,
+    RankChangeReport,
+    discipline_aggregate,
+    emit_report,
+    index_profile,
+    reproduce_table,
+)
+from bibindex.cli import cli_dispatch
+from bibindex.reports import FORMATS
+
+HERE = Path(__file__).parent
+COHORT = str(HERE / "data" / "golden_cohort.csv")
+GOLDEN = HERE / "golden"
+
+CLI_CASES = {
+    "indices": ["indices", COHORT],
+    "compare": ["compare", COHORT],
+    "hcore": ["hcore", COHORT],
+    "manipulate-drop-singletons": ["manipulate", COHORT, "--mode", "drop-singletons", "--index", "j"],
+    "manipulate-decrement": ["manipulate", COHORT, "--mode", "decrement", "--index", "j"],
+    **{f"reproduce-{n}": ["reproduce", "--table", str(n)] for n in range(1, 6)},
+}
+
+
+def library_reports() -> dict:
+    records = [CitationRecord.from_counts("Doe, Jane", [12, 7, 3, 1, 1], total_publications=7),
+               CitationRecord.from_counts("uncited", [0, 0]),
+               CitationRecord.from_counts('Li "Lee" Wu', [4, 4, 4, 4]),
+               CitationRecord.from_counts("ann", [10, 8, 5, 1, 1])]
+    cited = [records[0], records[2], records[3]]
+    return {
+        "profile": ProfileReport(tuple((r.researcher_id, index_profile(r)) for r in records)),
+        "rank-change": RankChangeReport(
+            "h", swaps=(("ann", "Doe, Jane", (1.0, 2.5)),),
+            moves=(("bob", 4.0, 5.5), ('Li "Lee" Wu', 5.5, 4.0)), unchanged_count=2),
+        "rank-change-none": RankChangeReport("j", (), (), 6),
+        "aggregate": discipline_aggregate(cited, "golden"),
+        "aggregate-published": reproduce_table(5).rows[2],
+        "aggregate-table": AggregateTable(
+            "golden", "Pooled h-core shares",
+            (discipline_aggregate(cited, "golden"), discipline_aggregate(cited[:1], "Doe, Jane"))),
+    }
+
+
+def render(case: str, fmt: str) -> str:
+    if case not in CLI_CASES:
+        return emit_report(library_reports()[case], fmt)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_dispatch(CLI_CASES[case] + ["--format", fmt])
+    assert status == 0, case
+    return out.getvalue()
+
+
+CASES = [(case, fmt) for case in [*CLI_CASES, *library_reports()] for fmt in FORMATS]
+
+
+@pytest.mark.parametrize("case,fmt", CASES)
+def test_golden_output(case, fmt):
+    expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
+    assert render(case, fmt).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, fmt in CASES:
+        (GOLDEN / f"{case}.{fmt}").write_bytes(render(case, fmt).encode("utf-8"))

@@ -287,22 +287,15 @@ def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable
     if table_id == "T5":
         if dataset is None:
             dataset = [load_bundled_dataset(d) for d in ("immunology", "economics", "physics")]
-        rows = []
-        for cohort in dataset:
-            if cohort.provenance != "precomputed":
-                raise ValueError("table reproduction requires precomputed index columns")
-            rows.append(_aggregate_from_index_rows(cohort))
         return AggregateTable(
             table_id="T5",
             caption="Citation share inside and outside the h-core, by discipline",
-            rows=tuple(rows),
+            rows=tuple(_aggregate_from_index_rows(cohort) for cohort in dataset),
         )
 
     discipline, row_indices, col_indices, caption = _ASSOCIATION_TABLES[table_id]
     if dataset is None:
         dataset = load_bundled_dataset(discipline)
-    if dataset.provenance != "precomputed":
-        raise ValueError("table reproduction requires precomputed index columns")
     if dataset.discipline != discipline:
         raise ValueError(f"{table_id} expects the {discipline} cohort, got {dataset.discipline!r}")
 

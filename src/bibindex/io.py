@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .metrics import CitationRecord
+from .metrics import INDEX_FIELDS, CitationRecord
 
 DISCIPLINES = ("immunology", "economics", "physics")
 
@@ -35,54 +35,40 @@ class IndexRow:
 
     def value(self, index_name: str) -> float:
         """Value of a rankable column (T, h, g, j or jS)."""
-        fields = {"T": self.total_citations, "h": self.h, "g": self.g,
-                  "j": self.j, "jS": self.js}
-        if index_name not in fields:
-            raise ValueError(f"column not available in precomputed rows: {index_name!r}")
-        return float(fields[index_name])
+        try:
+            return float(getattr(self, INDEX_FIELDS[index_name]))
+        except (KeyError, AttributeError):  # unknown name, or A and R, which rows lack
+            raise ValueError(f"column not available in precomputed rows: {index_name!r}") from None
 
 
 @dataclass(frozen=True)
 class CohortDataset:
-    """A discipline's researcher cohort, raw or precomputed.
-
-    ``rows`` holds CitationRecords for raw cohorts and IndexRows for
-    precomputed ones (per-researcher index values without citation lists).
-    """
+    """A discipline's researcher cohort as published: per-researcher index
+    values without citation lists."""
 
     discipline: str
-    provenance: str  # "raw" | "precomputed"
-    rows: tuple
+    rows: tuple[IndexRow, ...]
 
     def __post_init__(self):
-        if self.provenance not in ("raw", "precomputed"):
-            raise ValueError(f"unknown provenance: {self.provenance!r}")
-        names = [self._name(row) for row in self.rows]
+        names = self.names
         if len(set(names)) != len(names):
             raise ValueError("researcher names must be unique within a cohort")
-        if self.provenance == "precomputed":
-            for row in self.rows:
-                if row.cited > row.publications:
-                    raise ValueError(f"{row.name}: cited exceeds publications")
-                if row.h > row.g:
-                    raise ValueError(f"{row.name}: h exceeds g")
-                if row.j > row.js:
-                    raise ValueError(f"{row.name}: j exceeds jS")
-                if not 0.0 <= row.g1 <= 1.0:
-                    raise ValueError(f"{row.name}: G1 outside [0, 1]")
-
-    @staticmethod
-    def _name(row) -> str:
-        return row.name if isinstance(row, IndexRow) else row.researcher_id
+        for row in self.rows:
+            if row.cited > row.publications:
+                raise ValueError(f"{row.name}: cited exceeds publications")
+            if row.h > row.g:
+                raise ValueError(f"{row.name}: h exceeds g")
+            if row.j > row.js:
+                raise ValueError(f"{row.name}: j exceeds jS")
+            if not 0.0 <= row.g1 <= 1.0:
+                raise ValueError(f"{row.name}: G1 outside [0, 1]")
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._name(row) for row in self.rows)
+        return tuple(row.name for row in self.rows)
 
     def column(self, index_name: str) -> list[float]:
-        """One index column across the cohort (precomputed datasets only)."""
-        if self.provenance != "precomputed":
-            raise ValueError("index columns require a precomputed dataset")
+        """One index column across the cohort."""
         return [row.value(index_name) for row in self.rows]
 
 
@@ -110,7 +96,7 @@ def load_bundled_dataset(discipline: str) -> CohortDataset:
             js=float(cells[7]),
             g1=float(cells[8]),
         ))
-    return CohortDataset(discipline=key, provenance="precomputed", rows=tuple(rows))
+    return CohortDataset(discipline=key, rows=tuple(rows))
 
 
 def _parse_count(cell: str, line_no: int) -> int:

@@ -33,12 +33,17 @@ class Significance(enum.Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """Positions of a roster of researchers under one index (1 = best)."""
+    """Positions of a roster of researchers under one index (1 = best).
+
+    Every ranking is a valid fractional ranking.  Two tie policies produce
+    them: ``rank_descending`` gives tied values the mean of the positions
+    they span, and table reproduction (``experiments._column_ranking``)
+    orders tied values by h, then T, into untied ranks 1..n.
+    """
 
     index_name: str
     ids: tuple[str, ...]
     ranks: tuple[float, ...]
-    tie_policy: str = "fractional"
 
     def __post_init__(self):
         n = len(self.ranks)
@@ -46,8 +51,6 @@ class Ranking:
             raise ValueError("a ranking needs at least one entry")
         if len(self.ids) != n:
             raise ValueError("ids and ranks must have the same length")
-        if self.tie_policy != "fractional":
-            raise ValueError(f"unsupported tie policy: {self.tie_policy!r}")
         # valid fractional rankings are fixed points of average re-ranking
         again = stats.rankdata(self.ranks, method="average")
         if not np.allclose(again, self.ranks, rtol=0.0, atol=1e-9):
@@ -69,8 +72,7 @@ class AssociationReport:
 
 
 def rank_descending(values: Sequence[float], *, index_name: str = "value",
-                    ids: Sequence[str] | None = None,
-                    tie_policy: str = "fractional") -> Ranking:
+                    ids: Sequence[str] | None = None) -> Ranking:
     """Fractional ranks with rank 1 for the largest value.
 
     Tied values receive the arithmetic mean of the positions they span
@@ -81,12 +83,10 @@ def rank_descending(values: Sequence[float], *, index_name: str = "value",
         raise ValueError("values must be a non-empty one-dimensional sequence")
     if np.isnan(arr).any():
         raise ValueError("values contain NaN")
-    if tie_policy != "fractional":
-        raise ValueError(f"unsupported tie policy: {tie_policy!r}")
     ranks = stats.rankdata(-arr, method="average")
     if ids is None:
         ids = tuple(str(i) for i in range(1, arr.size + 1))
-    return Ranking(index_name, tuple(ids), tuple(float(r) for r in ranks), tie_policy)
+    return Ranking(index_name, tuple(ids), tuple(float(r) for r in ranks))
 
 
 def _paired_ranks(r1: Ranking, r2: Ranking):

@@ -1,27 +1,29 @@
 """Deterministic text renderings of the package's report objects.
 
-Three formats are supported: ``plain`` (aligned tables), ``csv`` and
-``json-lines``.  Association measures are printed to 3 decimals, j and jS
-values to 1 decimal, A and R to 2 decimals, proportions to 3 decimals and
-integers unpadded, so identical inputs always yield identical bytes.
+Each report type is described once as a table view: rows of named columns,
+each with a cell kind, and an optional caption.  Generic renderers turn any
+view into ``plain`` (aligned columns), ``csv`` or ``json-lines`` (an object per
+row, keyed by column names).  ``_CELLS`` states the display precision of every
+cell kind once, for text and json alike, so identical inputs always yield
+identical bytes.  The association grid and the rank-change prose are the
+two plain layouts that are not tables.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import partial, singledispatch
+from operator import attrgetter
+from typing import Callable, NamedTuple, Sequence
 
-from .experiments import (
-    AggregateTable,
-    AssociationTable,
-    DisciplineAggregate,
-    ManipulationReport,
-    RankChangeReport,
-)
-from .metrics import HCorePartition, IndexProfile
+from .experiments import (AggregateTable, AssociationTable, DisciplineAggregate,
+                          ManipulationReport, RankChangeReport)
+from .metrics import INDEX_FIELDS, INDEX_NAMES, HCorePartition, IndexProfile
 
 FORMATS = ("plain", "csv", "json-lines")
+_TEXT = ("plain", "csv")
+_JSON = ("json-lines",)
 
 
 @dataclass(frozen=True)
@@ -39,281 +41,208 @@ class PartitionReport:
     aggregate: DisciplineAggregate
 
 
-def _check_format(fmt: str):
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format: {fmt!r} (expected one of {FORMATS})")
-
-
-def _measure(x: float) -> str:
-    return f"{x + 0.0:.3f}"
-
-
-def _index_value(index_name: str, value: float) -> str:
-    if index_name in ("T", "h", "g"):
-        return str(int(value))
-    if index_name in ("A", "R"):
-        return f"{value:.2f}"
-    return f"{value:.1f}"  # j, jS
-
-
 def _rank(value: float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.1f}"
 
 
-def _spearman_cell(report) -> str:
-    return f"{_measure(report.spearman)}({report.significance.marker})"
+# (text cell, json value) per cell kind; a json converter of None keeps the
+# value as it is.  Index values use the index names as kinds; "mean" is a
+# cohort mean of H values, "share" an association measure or G proportion.
+_CELLS = {
+    "str": (str, None),
+    **dict.fromkeys(("T", "h", "g"), ("%d".__mod__, int)),
+    "A": (lambda a: "-" if a is None else "%.2f" % a,  # undefined when h = 0
+          lambda a: None if a is None else round(float(a), 2)),
+    **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, partial(round, ndigits=2))),
+    **dict.fromkeys(("j", "jS"), ("%.1f".__mod__, partial(round, ndigits=1))),
+    "share": (lambda x: f"{x + 0.0:.3f}", partial(round, ndigits=3)),  # text never -0.000
+    "rank": (_rank, None),
+}
+_share = _CELLS["share"][0]
 
 
-def _align(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    out = []
-    for row in rows:
-        cells = [cell.ljust(width) for cell, width in zip(row, widths)]
-        out.append("  ".join(cells).rstrip())
-    return "\n".join(out)
+class _Rows(NamedTuple):
+    """Rows of one shape, stored column by column, and the formats that
+    show them.  ``columns`` holds a (key, cell kind) pair per column."""
+
+    columns: tuple[tuple[str, str], ...]
+    values: Sequence[Sequence]
+    formats: tuple[str, ...] = FORMATS
+
+
+def _columns(spec: str) -> tuple[tuple[str, str], ...]:
+    """Columns from space-separated ``key`` or ``key:kind``; the default kind is str."""
+    return tuple((key, kind or "str") for key, _, kind in (c.partition(":") for c in spec.split()))
+
+
+def _rows(spec: str, rows: Sequence[tuple], formats=FORMATS) -> _Rows:
+    columns = _columns(spec)
+    return _Rows(columns, list(zip(*rows)) or [()] * len(columns), formats)
+
+
+class _View(NamedTuple):
+    parts: tuple[_Rows, ...]
+    caption: str | None = None
+    layout: Callable[[], str] | None = None  # a plain layout that is not a table
+
+
+def _text_rows(view: _View, fmt: str) -> list[tuple[str, ...]]:
+    # the header is every key of the text rows; rows are blank where they lack one
+    parts = [part for part in view.parts if fmt in part.formats]
+    header = tuple(dict.fromkeys(key for part in parts for key, _ in part.columns))
+    out = [header]
+    for part in parts:
+        cells = {key: map(_CELLS[kind][0], column)
+                 for (key, kind), column in zip(part.columns, part.values)}
+        blank = ("",) * len(part.values[0])
+        out += zip(*[cells.get(key, blank) for key in header])
+    return out
+
+
+def _align(rows) -> str:
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    line = "  ".join(f"%-{width}s" for width in widths)
+    return "\n".join([(line % tuple(row)).rstrip() for row in rows])
+
+
+def _table_text(view: _View) -> str:
+    table = _align(_text_rows(view, "plain"))
+    return table if view.caption is None else f"{view.caption}\n{table}"
 
 
 def _csv_cell(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
+    if "," in value or '"' in value or "\n" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
 
 
-def _csv_table(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(_csv_cell(cell) for cell in row) for row in rows)
+def _csv(view: _View) -> str:
+    return "\n".join([",".join(map(_csv_cell, row)) for row in _text_rows(view, "csv")])
 
 
-def _json_lines(objs: list[dict]) -> str:
-    return "\n".join(json.dumps(obj, ensure_ascii=False) for obj in objs)
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-@singledispatch
-def emit_report(report, fmt: str = "plain") -> str:
-    """Serialize any report object to text in the requested format."""
-    raise ValueError(f"cannot emit report of type {type(report).__name__}")
+def _json_lines(view: _View) -> str:
+    lines = []
+    for part in view.parts:
+        if "json-lines" in part.formats:
+            keys = [key for key, _ in part.columns]
+            values = [column if _CELLS[kind][1] is None else map(_CELLS[kind][1], column)
+                      for (_, kind), column in zip(part.columns, part.values)]
+            lines += map(_encode, map(dict, map(partial(zip, keys), zip(*values))))
+    return "\n".join(lines)
 
 
-@emit_report.register
-def _(report: ProfileReport, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    header = ["researcher", "T", "h", "g", "A", "R", "j", "jS"]
-    if fmt == "json-lines":
-        objs = []
-        for name, p in report.rows:
-            objs.append({
-                "researcher": name,
-                "T": p.total_citations, "h": p.h, "g": p.g,
-                "A": None if p.a is None else round(float(p.a), 2),
-                "R": round(p.r, 2),
-                "j": round(p.j, 1), "jS": round(p.js, 1),
-            })
-        return _json_lines(objs)
-    rows = [header]
-    for name, p in report.rows:
-        rows.append([
-            name,
-            str(p.total_citations), str(p.h), str(p.g),
-            "-" if p.a is None else f"{float(p.a):.2f}",
-            f"{p.r:.2f}", f"{p.j:.1f}", f"{p.js:.1f}",
-        ])
-    return _align(rows) if fmt == "plain" else _csv_table(rows)
-
-
-@emit_report.register
-def _(report: AssociationTable, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    if fmt == "json-lines":
-        objs = []
-        for rep in report.reports:
-            objs.append({
-                "left": rep.pair[0], "right": rep.pair[1],
-                "spearman": round(rep.spearman, 3),
-                "significance": rep.significance.marker,
-                "footrule": round(rep.footrule, 3),
-                "m_measure": round(rep.m_measure, 3),
-            })
-        return _json_lines(objs)
-    if fmt == "csv":
-        rows = [["left", "right", "spearman", "significance", "footrule", "m_measure"]]
-        for rep in report.reports:
-            rows.append([rep.pair[0], rep.pair[1], _measure(rep.spearman),
-                         rep.significance.marker, _measure(rep.footrule),
-                         _measure(rep.m_measure)])
-        return _csv_table(rows)
-    # plain: one column group of (Spearman, Footrule, M) per right-hand index
-    group_header = [""]
-    for col in report.col_indices:
-        group_header += [col, "", ""]
-    sub_header = [""] + ["Spearman", "Footrule", "M"] * len(report.col_indices)
-    rows = [group_header, sub_header]
+def _grid(report: AssociationTable) -> str:
+    # one column group of (Spearman, Footrule, M) per right-hand index
+    rows = [["", *(cell for col in report.col_indices for cell in (col, "", ""))],
+            ["", *("Spearman", "Footrule", "M") * len(report.col_indices)]]
     for row_name in report.row_indices:
         line = [row_name]
         for col_name in report.col_indices:
             rep = report.cell(row_name, col_name)
-            if rep is None:
-                line += ["-", "-", "-"]
-            else:
-                line += [_spearman_cell(rep), _measure(rep.footrule),
-                         _measure(rep.m_measure)]
+            line += ["-", "-", "-"] if rep is None else [
+                f"{_share(rep.spearman)}({rep.significance.marker})",
+                _share(rep.footrule), _share(rep.m_measure)]
         rows.append(line)
-    return report.caption + "\n" + _align(rows)
+    return f"{report.caption}\n{_align(rows)}"
 
 
-def _aggregate_row(agg: DisciplineAggregate, with_h: bool) -> list[str]:
-    row = [agg.discipline]
-    if with_h:
-        row += [f"{v:.2f}" for v in (agg.mean_h1, agg.mean_h2, agg.mean_h3, agg.mean_h4)]
-    row += [_measure(v) for v in (agg.mean_g1, agg.mean_g2, agg.mean_g3, agg.mean_g4)]
-    return row
-
-
-def _aggregate_obj(agg: DisciplineAggregate, with_h: bool) -> dict:
-    obj = {"discipline": agg.discipline}
-    if with_h:
-        obj.update({"H1": round(agg.mean_h1, 2), "H2": round(agg.mean_h2, 2),
-                    "H3": round(agg.mean_h3, 2), "H4": round(agg.mean_h4, 2)})
-    obj.update({"G1": round(agg.mean_g1, 3), "G2": round(agg.mean_g2, 3),
-                "G3": round(agg.mean_g3, 3), "G4": round(agg.mean_g4, 3)})
-    return obj
-
-
-@emit_report.register
-def _(report: AggregateTable, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    with_h = all(agg.mean_h1 is not None for agg in report.rows)
-    if fmt == "json-lines":
-        return _json_lines([_aggregate_obj(agg, with_h) for agg in report.rows])
-    header = ["discipline"]
-    if with_h:
-        header += ["H1", "H2", "H3", "H4"]
-    header += ["G1", "G2", "G3", "G4"]
-    rows = [header] + [_aggregate_row(agg, with_h) for agg in report.rows]
-    if fmt == "csv":
-        return _csv_table(rows)
-    return report.caption + "\n" + _align(rows)
-
-
-@emit_report.register
-def _(report: DisciplineAggregate, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    with_h = report.mean_h1 is not None
-    if fmt == "json-lines":
-        return _json_lines([_aggregate_obj(report, with_h)])
-    header = ["discipline"]
-    if with_h:
-        header += ["H1", "H2", "H3", "H4"]
-    header += ["G1", "G2", "G3", "G4"]
-    rows = [header, _aggregate_row(report, with_h)]
-    return _align(rows) if fmt == "plain" else _csv_table(rows)
-
-
-@emit_report.register
-def _(report: HCorePartition, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    if fmt == "json-lines":
-        return _json_lines([{
-            "H1": report.h1, "H2": report.h2, "H3": report.h3, "H4": report.h4,
-            "G1": round(report.g1, 3), "G2": round(report.g2, 3),
-            "G3": round(report.g3, 3), "G4": round(report.g4, 3),
-        }])
-    rows = [["H1", "H2", "H3", "H4", "G1", "G2", "G3", "G4"],
-            [str(report.h1), str(report.h2), str(report.h3), str(report.h4),
-             _measure(report.g1), _measure(report.g2),
-             _measure(report.g3), _measure(report.g4)]]
-    return _align(rows) if fmt == "plain" else _csv_table(rows)
-
-
-@emit_report.register
-def _(report: PartitionReport, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    if fmt == "json-lines":
-        objs = []
-        for name, p in report.rows:
-            objs.append({
-                "researcher": name,
-                "H1": p.h1, "H2": p.h2, "H3": p.h3, "H4": p.h4,
-                "G1": round(p.g1, 3), "G2": round(p.g2, 3),
-                "G3": round(p.g3, 3), "G4": round(p.g4, 3),
-            })
-        objs.append(_aggregate_obj(report.aggregate, with_h=True))
-        return _json_lines(objs)
-    header = ["researcher", "H1", "H2", "H3", "H4", "G1", "G2", "G3", "G4"]
-    rows = [header]
-    for name, p in report.rows:
-        rows.append([name, str(p.h1), str(p.h2), str(p.h3), str(p.h4),
-                     _measure(p.g1), _measure(p.g2), _measure(p.g3), _measure(p.g4)])
-    agg = report.aggregate
-    rows.append([f"[mean] {agg.discipline}",
-                 f"{agg.mean_h1:.2f}", f"{agg.mean_h2:.2f}",
-                 f"{agg.mean_h3:.2f}", f"{agg.mean_h4:.2f}",
-                 _measure(agg.mean_g1), _measure(agg.mean_g2),
-                 _measure(agg.mean_g3), _measure(agg.mean_g4)])
-    return _align(rows) if fmt == "plain" else _csv_table(rows)
-
-
-@emit_report.register
-def _(report: RankChangeReport, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    if fmt == "json-lines":
-        objs = []
-        for a, b, (pos_a, pos_b) in report.swaps:
-            objs.append({"kind": "swap", "researcher": a, "partner": b,
-                         "old_rank": pos_a, "new_rank": pos_b})
-        for rid, old, new in report.moves:
-            objs.append({"kind": "move", "researcher": rid,
-                         "old_rank": old, "new_rank": new})
-        objs.append({"kind": "summary", "index": report.index_name,
-                     "unchanged_count": report.unchanged_count})
-        return _json_lines(objs)
-    if fmt == "csv":
-        rows = [["kind", "researcher", "partner", "old_rank", "new_rank", "count"]]
-        for a, b, (pos_a, pos_b) in report.swaps:
-            rows.append(["swap", a, b, _rank(pos_a), _rank(pos_b), ""])
-        for rid, old, new in report.moves:
-            rows.append(["move", rid, "", _rank(old), _rank(new), ""])
-        rows.append(["summary", "", "", "", "", str(report.unchanged_count)])
-        return _csv_table(rows)
+def _prose(report: RankChangeReport) -> str:
     lines = [f"rank changes under {report.index_name}:"]
-    for a, b, (pos_a, pos_b) in report.swaps:
-        lines.append(f"  swap: {a} <-> {b} (positions {_rank(pos_a)} and {_rank(pos_b)})")
-    for rid, old, new in report.moves:
-        lines.append(f"  move: {rid} from {_rank(old)} to {_rank(new)}")
+    lines += [f"  swap: {a} <-> {b} (positions {_rank(pos_a)} and {_rank(pos_b)})"
+              for a, b, (pos_a, pos_b) in report.swaps]
+    lines += [f"  move: {rid} from {_rank(old)} to {_rank(new)}" for rid, old, new in report.moves]
     if not report.swaps and not report.moves:
         lines.append("  no changes")
     lines.append(f"  unchanged ranks: {report.unchanged_count}")
     return "\n".join(lines)
 
 
-@emit_report.register
-def _(report: ManipulationReport, fmt: str = "plain") -> str:
-    _check_format(fmt)
-    name = report.index_name
-    if fmt == "json-lines":
-        objs = []
-        for i, rid in enumerate(report.ids):
-            objs.append({
-                "researcher": rid,
-                f"{name}_before": round(report.before_values[i], 1),
-                "rank_before": report.before_ranks[i],
-                f"{name}_after": round(report.after_values[i], 1),
-                "rank_after": report.after_ranks[i],
-            })
-        objs.append({"kind": "summary", "index": name, "mode": report.mode.value,
-                     "unchanged_count": report.change.unchanged_count,
-                     "swaps": len(report.change.swaps),
-                     "moves": len(report.change.moves)})
-        return _json_lines(objs)
-    header = ["researcher", f"{name}_before", "rank_before", f"{name}_after", "rank_after"]
-    rows = [header]
-    for i, rid in enumerate(report.ids):
-        rows.append([rid,
-                     _index_value(name, report.before_values[i]),
-                     _rank(report.before_ranks[i]),
-                     _index_value(name, report.after_values[i]),
-                     _rank(report.after_ranks[i])])
-    if fmt == "csv":
-        return _csv_table(rows)
-    table = _align(rows)
-    change = emit_report(report.change, "plain")
-    return (f"{name} ranking before/after {report.mode.value}\n"
-            f"{table}\n\n{change}")
+@singledispatch
+def _view(report) -> _View:
+    raise ValueError(f"cannot emit report of type {type(report).__name__}")
+
+
+@_view.register
+def _(report: ProfileReport) -> _View:
+    profiles = [profile for _, profile in report.rows]
+    values = [[name for name, _ in report.rows]]
+    values += [list(map(attrgetter(INDEX_FIELDS[name]), profiles)) for name in INDEX_NAMES]
+    spec = " ".join(["researcher", *(f"{name}:{name}" for name in INDEX_NAMES)])
+    return _View((_Rows(_columns(spec), values),))
+
+
+@_view.register
+def _(report: AssociationTable) -> _View:
+    return _View((_rows("left right spearman:share significance footrule:share m_measure:share", [
+        (*rep.pair, rep.spearman, rep.significance.marker, rep.footrule, rep.m_measure)
+        for rep in report.reports]),), report.caption, partial(_grid, report))
+
+
+_H_MEANS = " H1:mean H2:mean H3:mean H4:mean"
+_G_SHARES = " G1:share G2:share G3:share G4:share"
+_means = attrgetter("mean_h1", "mean_h2", "mean_h3", "mean_h4")
+_shares = attrgetter("mean_g1", "mean_g2", "mean_g3", "mean_g4")
+
+
+def _aggregate_rows(aggs: Sequence[DisciplineAggregate], formats=FORMATS) -> _Rows:
+    with_h = all(agg.mean_h1 is not None for agg in aggs)  # H means are all or nothing
+    return _rows("discipline" + (_H_MEANS if with_h else "") + _G_SHARES, [
+        (agg.discipline, *(_means(agg) if with_h else ()), *_shares(agg)) for agg in aggs], formats)
+
+
+_view.register(AggregateTable, lambda table: _View((_aggregate_rows(table.rows),), table.caption))
+_view.register(DisciplineAggregate, lambda agg: _View((_aggregate_rows([agg]),)))
+
+
+@_view.register
+def _(report: PartitionReport) -> _View:
+    split = attrgetter("h1", "h2", "h3", "h4", "g1", "g2", "g3", "g4")
+    agg = report.aggregate
+    # the aggregate closes the table under a "[mean]" label in text, and as
+    # its own discipline object in json-lines
+    return _View((
+        _rows("researcher H1 H2 H3 H4" + _G_SHARES,
+              [(name, *split(p)) for name, p in report.rows]),
+        _rows("researcher" + _H_MEANS + _G_SHARES,
+              [(f"[mean] {agg.discipline}", *_means(agg), *_shares(agg))], _TEXT),
+        _aggregate_rows([agg], _JSON)))
+
+
+@_view.register
+def _(report: RankChangeReport) -> _View:
+    return _View((
+        _rows("kind researcher partner old_rank:rank new_rank:rank",
+              [("swap", a, b, pos_a, pos_b) for a, b, (pos_a, pos_b) in report.swaps]),
+        _rows("kind researcher old_rank:rank new_rank:rank",
+              [("move", *move) for move in report.moves]),
+        _rows("kind count", [("summary", report.unchanged_count)], _TEXT),
+        _rows("kind index unchanged_count",
+              [("summary", report.index_name, report.unchanged_count)], _JSON),
+    ), layout=partial(_prose, report))
+
+
+@_view.register
+def _(report: ManipulationReport) -> _View:
+    name, mode, change = report.index_name, report.mode.value, report.change
+    view = _View((
+        _rows(f"researcher {name}_before:{name} rank_before:rank {name}_after:{name} rank_after:rank",
+              list(zip(report.ids, report.before_values, report.before_ranks,
+                       report.after_values, report.after_ranks))),
+        _rows("kind index mode unchanged_count swaps moves",
+              [("summary", name, mode, change.unchanged_count,
+                len(change.swaps), len(change.moves))], _JSON),
+    ), f"{name} ranking before/after {mode}")
+    return view._replace(layout=lambda: f"{_table_text(view)}\n\n{_prose(change)}")
+
+
+def emit_report(report, fmt: str = "plain") -> str:
+    """Serialize any report object to text in the requested format."""
+    view = _view(report)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format: {fmt!r} (expected one of {FORMATS})")
+    if fmt == "plain":
+        return view.layout() if view.layout else _table_text(view)
+    return _csv(view) if fmt == "csv" else _json_lines(view)

@@ -135,6 +135,25 @@ def test_manipulate_decrement_csv(capsys, cohort_file):
     assert out.splitlines()[0] == "researcher,j_before,rank_before,j_after,rank_after"
 
 
+@pytest.mark.parametrize("index", ["T", "h", "g", "A", "R", "j", "jS"])
+def test_manipulate_json_lines_matches_csv_precision(capsys, alpha_beta_file, index):
+    argv = ["manipulate", alpha_beta_file, "--mode", "decrement", "--index", index, "--format"]
+    _, csv_out, _ = run(capsys, *argv, "csv")
+    _, json_out, _ = run(capsys, *argv, "json-lines")
+    header, *rows = [line.split(",") for line in csv_out.splitlines()]
+    objs = [json.loads(line) for line in json_out.splitlines()][:-1]  # last line: summary
+    assert [obj["researcher"] for obj in objs] == [cells[0] for cells in rows]
+    for cells, obj in zip(rows, objs):
+        for key in (f"{index}_before", f"{index}_after"):
+            assert obj[key] == float(cells[header.index(key)])
+            assert isinstance(obj[key], int) == (index in ("T", "h", "g"))
+    alpha = objs[0]
+    if index == "R":
+        assert alpha["R_after"] == 9.95
+    if index == "T":
+        assert alpha["T_before"] == 100 and isinstance(alpha["T_before"], int)
+
+
 def test_manipulate_requires_mode(capsys, cohort_file):
     status, _, _ = run(capsys, "manipulate", cohort_file)
     assert status == 1

@@ -144,7 +144,6 @@ def test_records_to_csv_rejects_rowless_records():
 def test_bundled_datasets_shape():
     for discipline in ("immunology", "economics", "physics"):
         dataset = load_bundled_dataset(discipline)
-        assert dataset.provenance == "precomputed"
         assert len(dataset.rows) == 20
         assert len(set(dataset.names)) == 20
 
@@ -191,10 +190,10 @@ def test_unknown_discipline():
 def test_cohort_validation_catches_bad_rows():
     bad = IndexRow("X", 10, 12, 100, 5, 7, 10.0, 20.0, 0.5)  # cited > pub
     with pytest.raises(ValueError, match="cited exceeds"):
-        CohortDataset("d", "precomputed", (bad,))
+        CohortDataset("d", (bad,))
     with pytest.raises(ValueError, match="unique"):
-        CohortDataset("d", "raw", (CitationRecord.from_counts("a", [1]),
-                                   CitationRecord.from_counts("a", [2])))
+        CohortDataset("d", (IndexRow("a", 10, 8, 100, 5, 7, 10.0, 20.0, 0.5),
+                            IndexRow("a", 3, 2, 9, 2, 3, 4.0, 4.5, 0.7)))
 
 
 # ---------------------------------------------------------------------------

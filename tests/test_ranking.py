@@ -73,8 +73,6 @@ def test_ranking_validation():
         ranking([1.0, 1.0, 2.0])  # tied pair must average to 1.5
     with pytest.raises(ValueError, match="same length"):
         Ranking("x", ("a",), (1.0, 2.0))
-    with pytest.raises(ValueError, match="tie policy"):
-        Ranking("x", ("a", "b"), (1.0, 2.0), tie_policy="ordinal")
 
 
 # ---------------------------------------------------------------------------

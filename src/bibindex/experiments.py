@@ -146,31 +146,29 @@ def _cohort_ranking(cohort: Sequence[CitationRecord], index_name: str) -> tuple[
 
 
 def _diff_rankings(before: Ranking, after: Ranking, index_name: str) -> RankChangeReport:
-    changed = [i for i in range(len(before)) if before.ranks[i] != after.ranks[i]]
-    unchanged = len(before) - len(changed)
+    """Pair each changed position with the first later one holding its
+    rank exchange (a swap); positions left unpaired are moves."""
+    old, new = before.ranks, after.ranks
+    changed = [i for i in range(len(old)) if old[i] != new[i]]
+    # changed positions not yet paired, by (old, new) rank, smallest position last
+    waiting: dict[tuple[float, float], list[int]] = {}
+    for i in reversed(changed):
+        waiting.setdefault((old[i], new[i]), []).append(i)
     swaps = []
     moves = []
-    used: set[int] = set()
-    for pos, i in enumerate(changed):
-        if i in used:
-            continue
-        partner = None
-        for k in changed[pos + 1:]:
-            if k in used:
-                continue
-            if before.ranks[i] == after.ranks[k] and before.ranks[k] == after.ranks[i]:
-                partner = k
-                break
-        if partner is None:
-            moves.append((before.ids[i], before.ranks[i], after.ranks[i]))
+    for i in changed:
+        own = waiting[(old[i], new[i])]
+        if not own or own[-1] != i:
+            continue  # already paired with an earlier position
+        own.pop()
+        partners = waiting.get((new[i], old[i]))
+        if partners:
+            first, second = sorted((i, partners.pop()), key=lambda k: old[k])
+            swaps.append((before.ids[first], before.ids[second], (old[first], old[second])))
         else:
-            used.add(partner)
-            first, second = sorted((i, partner), key=lambda k: before.ranks[k])
-            swaps.append((before.ids[first], before.ids[second],
-                          (before.ranks[first], before.ranks[second])))
-        used.add(i)
+            moves.append((before.ids[i], old[i], new[i]))
     return RankChangeReport(index_name=index_name, swaps=tuple(swaps),
-                            moves=tuple(moves), unchanged_count=unchanged)
+                            moves=tuple(moves), unchanged_count=len(old) - len(changed))
 
 
 def rank_change_report(cohort_before: Sequence[CitationRecord],

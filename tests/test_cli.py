@@ -68,6 +68,22 @@ def test_indices_wide(capsys, tmp_path):
     assert next(line for line in out.splitlines() if line.startswith("beta")).split()[2] == "10"
 
 
+@pytest.mark.parametrize("text,flags", [
+    (COHORT, []),
+    ("ann,10,8,5,1,1\nbob,9,9,2\ncid,30,1\n", ["--wide"]),
+], ids=["long", "wide"])
+def test_utf8_bom_is_ignored(capsys, tmp_path, text, flags):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    outputs = []
+    for path in (plain, bom):
+        status, out, err = run(capsys, "indices", str(path), *flags, "--format", "csv")
+        assert status == 0, err
+        outputs.append(out.encode("utf-8"))
+    assert outputs[1] == outputs[0]
+
+
 def test_compare_runs(capsys, cohort_file):
     status, out, _ = run(capsys, "compare", cohort_file, "--left", "T,h", "--right", "j,jS")
     assert status == 0

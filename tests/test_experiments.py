@@ -22,6 +22,8 @@ from bibindex import (
     reproduce_table,
     total_citations,
 )
+from bibindex.experiments import RankChangeReport, _diff_rankings
+from bibindex.ranking import rank_descending
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=1000), max_size=50)
 
@@ -109,6 +111,53 @@ def test_rank_change_detects_single_swap_after_drop_singletons():
 def test_rank_change_roster_mismatch():
     with pytest.raises(ValueError, match="roster"):
         rank_change_report([rec("a", [1])], [rec("b", [1])], "j")
+
+
+def _reference_diff_rankings(before, after, index_name):
+    """The quadratic partner scan that ``_diff_rankings`` replaced."""
+    changed = [i for i in range(len(before)) if before.ranks[i] != after.ranks[i]]
+    swaps, moves, used = [], [], set()
+    for pos, i in enumerate(changed):
+        if i in used:
+            continue
+        partner = None
+        for k in changed[pos + 1:]:
+            if k in used:
+                continue
+            if before.ranks[i] == after.ranks[k] and before.ranks[k] == after.ranks[i]:
+                partner = k
+                break
+        if partner is None:
+            moves.append((before.ids[i], before.ranks[i], after.ranks[i]))
+        else:
+            used.add(partner)
+            first, second = sorted((i, partner), key=lambda k: before.ranks[k])
+            swaps.append((before.ids[first], before.ids[second],
+                          (before.ranks[first], before.ranks[second])))
+        used.add(i)
+    return RankChangeReport(index_name=index_name, swaps=tuple(swaps), moves=tuple(moves),
+                            unchanged_count=len(before) - len(changed))
+
+
+@given(st.data())
+def test_diff_rankings_matches_quadratic_reference(data):
+    # a small value range gives many ties; a large one gives mostly untied ranks
+    high = data.draw(st.sampled_from([3, 10**6]), label="high")
+    values = data.draw(st.lists(st.integers(0, high), min_size=1, max_size=40), label="values")
+    n = len(values)
+    if data.draw(st.booleans(), label="permute a few"):
+        moved = data.draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True), label="moved")
+        targets = data.draw(st.permutations(moved), label="targets")
+        after_values = list(values)
+        for source, target in zip(moved, targets):
+            after_values[target] = values[source]
+    else:
+        after_values = data.draw(st.lists(st.integers(0, high), min_size=n, max_size=n),
+                                 label="after")
+    ids = tuple(f"r{i}" for i in range(n))
+    before = rank_descending(values, index_name="j", ids=ids)
+    after = rank_descending(after_values, index_name="j", ids=ids)
+    assert _diff_rankings(before, after, "j") == _reference_diff_rankings(before, after, "j")
 
 
 def test_manipulation_report_bundles_everything():

@@ -1,12 +1,17 @@
 """Rank construction and association-measure tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bibindex
 from bibindex import (
     Ranking,
     Significance,
@@ -21,6 +26,7 @@ from bibindex import (
     spearman_rho,
     CitationRecord,
 )
+from bibindex.ranking import _average_ranks, _two_tailed_t
 
 
 def ranking(ranks, name="x"):
@@ -66,6 +72,33 @@ def test_rank_descending_immunology_h_column():
     assert by_name["Nadler, Lee Marshall"] == 2.0
     assert by_name["Janossy, George"] == 4.5
     assert by_name["Shevach, Ethan M."] == 4.5
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([5, 5, 1], [2.5, 2.5, 1.0]),
+    ([3, 1, 2, 1, 3], [4.5, 1.5, 3.0, 1.5, 4.5]),
+    ([7, 7, 7, 7], [2.5, 2.5, 2.5, 2.5]),
+    ([4.0], [1.0]),
+])
+def test_average_ranks_hand_cases(values, expected):
+    assert _average_ranks(values).tolist() == expected
+
+
+@pytest.fixture(scope="module")
+def stats():
+    """scipy is an optional test oracle; bibindex itself does not use it."""
+    return pytest.importorskip("scipy.stats")
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5) | st.floats(-1e3, 1e3),
+                min_size=1, max_size=60))
+def test_average_ranks_equal_scipy_rankdata(stats, values):
+    assert np.array_equal(_average_ranks(values), stats.rankdata(values, method="average"))
+
+
+def test_average_ranks_equal_scipy_rankdata_on_100k_tied_values(stats):
+    values = np.random.default_rng(0).integers(0, 1000, size=100_000).astype(float)
+    assert np.array_equal(_average_ranks(values), stats.rankdata(values, method="average"))
 
 
 def test_ranking_validation():
@@ -180,6 +213,53 @@ def test_significance_edge_cases():
 def test_significance_is_symmetric_in_sign():
     assert significance_tag(-0.973, 20) is Significance.SIG_01
     assert significance_tag(-0.468, 20) is Significance.SIG_05
+
+
+T_GRID = np.linspace(0.0, 12.0, 241)
+DF_GRID = list(range(1, 301)) + [500, 1_000, 10_000, 20_000, 100_000, 1_000_000]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 12.0, 100.0])
+def test_two_tailed_t_closed_forms(t):
+    assert _two_tailed_t(t, 1) == pytest.approx(1.0 - 2.0 / math.pi * math.atan(t), rel=1e-12)
+    # the closed form itself cancels to ~2e-12 relative at t = 100
+    assert _two_tailed_t(t, 2) == pytest.approx(1.0 - t / math.sqrt(2.0 + t * t), rel=1e-11)
+    assert _two_tailed_t(-t, 2) == _two_tailed_t(t, 2)
+
+
+def test_two_tailed_t_matches_scipy(stats):
+    for df in DF_GRID:
+        expected = 2.0 * stats.t.sf(T_GRID, df)
+        got = np.array([_two_tailed_t(float(t), df) for t in T_GRID])
+        np.testing.assert_allclose(got, expected, rtol=1e-8, atol=0.0, err_msg=f"df={df}")
+
+
+def _scipy_marker(stats, rho, n):
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    p = 2.0 * stats.t.sf(abs(t), n - 2)
+    return "**" if p < 0.01 else "*" if p < 0.05 else "n"
+
+
+def test_significance_matches_scipy_next_to_critical_values(stats):
+    for df in DF_GRID:
+        for alpha in (0.01, 0.05):
+            critical = stats.t.isf(alpha / 2, df)
+            for t in (critical * (1 - 1e-6), critical * (1 + 1e-6)):
+                rho = t / math.sqrt(t * t + df)
+                n = df + 2
+                assert significance_tag(rho, n).marker == _scipy_marker(stats, rho, n), (df, alpha, t)
+
+
+def test_import_needs_no_scipy_and_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    src = str(Path(bibindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bibindex, bibindex.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as stream:
+        assert tomllib.load(stream)["project"]["dependencies"] == ["numpy"]
 
 
 # every distinct printed (rho, marker) pair from the four reference tables

@@ -39,10 +39,8 @@ print()
 print(emit_report(profiles, "json-lines"))
 print()
 
-partitions = PartitionReport(
-    tuple((r.researcher_id, h_core_partition(r)) for r in records),
-    discipline_aggregate(records, discipline="demo"),
-)
+rows = tuple((r.researcher_id, h_core_partition(r)) for r in records)
+partitions = PartitionReport(rows, discipline_aggregate((part for _, part in rows), discipline="demo"))
 print(emit_report(partitions, "csv"))
 print()
 

@@ -54,6 +54,7 @@ from .ranking import (
     footrule,
     m_measure,
     rank_descending,
+    rank_untied,
     significance_tag,
     spearman_rho,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "r_index",
     "rank_change_report",
     "rank_descending",
+    "rank_untied",
     "records_to_csv",
     "reproduce_table",
     "significance_tag",

@@ -108,7 +108,7 @@ def _run(args) -> str:
     if args.command == "hcore":
         records = _load_records(args)
         rows = tuple((r.researcher_id, h_core_partition(r)) for r in records)
-        aggregate = discipline_aggregate(records)
+        aggregate = discipline_aggregate(part for _, part in rows)
         return emit_report(PartitionReport(rows, aggregate), args.format)
 
     if args.command == "manipulate":

@@ -15,7 +15,7 @@ from .metrics import (
     h_core_partition,
     index_profile,
 )
-from .ranking import AssociationReport, Ranking, associate, rank_descending
+from .ranking import AssociationReport, Ranking, association_grid, rank_descending, rank_untied
 
 
 class ManipulationMode(enum.Enum):
@@ -230,22 +230,6 @@ def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
     )
 
 
-def _column_ranking(dataset: CohortDataset, index_name: str) -> Ranking:
-    # Untied ranks for published-column reproduction: researchers with the
-    # same column value are ordered by their h, then T.  The bundled
-    # tables' reference coefficients were computed under this convention,
-    # and fractional ranks drift up to 0.015 away from them on tied
-    # columns.  (The last sort key only pins determinism.)
-    values = dataset.column(index_name)
-    h = dataset.column("h")
-    t = dataset.column("T")
-    order = sorted(range(len(values)), key=lambda i: (-values[i], -h[i], -t[i], i))
-    ranks = [0.0] * len(values)
-    for pos, i in enumerate(order, start=1):
-        ranks[i] = float(pos)
-    return Ranking(index_name, dataset.names, tuple(ranks))
-
-
 def _normalise_table_id(table_id) -> str:
     if isinstance(table_id, int):
         table_id = f"T{table_id}"
@@ -297,16 +281,9 @@ def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable
     if dataset.discipline != discipline:
         raise ValueError(f"{table_id} expects the {discipline} cohort, got {dataset.discipline!r}")
 
-    rankings = {
-        name: _column_ranking(dataset, name)
-        for name in sorted(set(row_indices) | set(col_indices))
-    }
-    reports = []
-    for row in row_indices:
-        for col in col_indices:
-            if row == col:
-                continue
-            reports.append(associate(rankings[row], rankings[col]))
+    h, t = dataset.column("h"), dataset.column("T")
+    reports = association_grid(row_indices, col_indices, lambda name: rank_untied(
+        dataset.column(name), h, t, index_name=name, ids=dataset.names))
     return AssociationTable(
         table_id=table_id,
         caption=caption,

@@ -193,11 +193,12 @@ def records_to_csv(records: Sequence[CitationRecord]) -> str:
         implied = record.total_publications - len(record.counts)
         for i, count in enumerate(record.counts):
             sidecar = str(implied) if i == 0 and implied else ""
-            lines.append(f"{_quote(record.researcher_id)},{count},{sidecar}")
+            lines.append(f"{csv_field(record.researcher_id)},{count},{sidecar}")
     return "\n".join(lines) + "\n"
 
 
-def _quote(name: str) -> str:
-    if any(ch in name for ch in ',"\n'):
-        return '"' + name.replace('"', '""') + '"'
-    return name
+def csv_field(value: str) -> str:
+    """One CSV field, quoted when it holds a comma, a quote or a line break."""
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value

@@ -4,6 +4,10 @@ Covers the classical indicator family (total citations T, h, g, A, R),
 the square-root citation index j and its smoothed companion jS, and the
 partition of a researcher's citations around the h-core (H1..H4, G1..G4).
 
+One private kernel makes a single pass over the descending counts; the
+profile and the partition are built from it, and each single-index
+function reads its field of ``index_profile``.
+
 All functions are pure and operate on immutable ``CitationRecord`` values,
 so callers may evaluate them concurrently across researchers.
 """
@@ -126,20 +130,64 @@ class HCorePartition:
     g4: float
 
 
+def _kernel(counts: Sequence[int]) -> tuple[int, int, int, int, float, float]:
+    """T, h, the h-core's citations, g, j and jS, in one pass over descending counts.
+
+    Zeros sort last, so the running mean at a cited rank is its smoothed count.
+    """
+    sqrt = math.sqrt
+    total = h = core = g = 0
+    roots, smoothed_roots = [], []
+    for rank, c in enumerate(counts, start=1):
+        total += c
+        if c >= rank:
+            h, core = rank, total
+        if total >= rank * rank:
+            g = rank
+        if c:
+            roots.append(sqrt(c))
+            smoothed_roots.append(sqrt(total / rank))
+    if math.isqrt(total) >= len(counts):  # unbounded g: uncited papers pad the list
+        g = math.isqrt(total)
+    return total, h, core, g, math.fsum(roots), math.fsum(smoothed_roots)
+
+
+def index_profile(record: CitationRecord) -> IndexProfile:
+    """All seven indicators for one record, computed consistently."""
+    total, h, core, g, j, js = _kernel(record.counts)
+    return IndexProfile(
+        total_citations=total,
+        h=h,
+        g=g,
+        a=Fraction(core, h) if h > 0 else None,
+        r=math.sqrt(core),
+        j=j,
+        js=js,
+    )
+
+
+def h_core_partition(record: CitationRecord) -> HCorePartition:
+    """Citation split inside/outside the h-core, with proportions of T."""
+    total, h, h1, *_ = _kernel(record.counts)
+    if total == 0:
+        raise ValueError("no citations: partition proportions are undefined")
+    h2 = h * h
+    h3 = h1 - h2
+    h4 = total - h1
+    return HCorePartition(
+        h1=h1, h2=h2, h3=h3, h4=h4,
+        g1=h1 / total, g2=h2 / total, g3=h3 / total, g4=h4 / total,
+    )
+
+
 def total_citations(record: CitationRecord) -> int:
     """Sum of all citation counts (0 for an empty record)."""
-    return sum(record.counts)
+    return index_profile(record).total_citations
 
 
 def h_index(record: CitationRecord) -> int:
     """Largest rank h such that the paper at rank h has at least h citations."""
-    h = 0
-    for rank, c in enumerate(record.counts, start=1):
-        if c >= rank:
-            h = rank
-        else:
-            break
-    return h
+    return index_profile(record).h
 
 
 def g_index(record: CitationRecord) -> int:
@@ -149,16 +197,7 @@ def g_index(record: CitationRecord) -> int:
     beyond the stored list the condition degenerates to T >= g**2 and g can
     reach isqrt(T) even for a short publication list.
     """
-    best = 0
-    running = 0
-    for rank, c in enumerate(record.counts, start=1):
-        running += c
-        if running >= rank * rank:
-            best = rank
-    padded = math.isqrt(running)
-    if padded >= len(record.counts):
-        best = max(best, padded)
-    return best
+    return index_profile(record).g
 
 
 def a_index(record: CitationRecord) -> Fraction:
@@ -167,23 +206,20 @@ def a_index(record: CitationRecord) -> Fraction:
     Papers tied at exactly h citations are interchangeable; the top-h
     prefix of the descending sort is used, which never changes the value.
     """
-    h = h_index(record)
-    if h == 0:
+    a = index_profile(record).a
+    if a is None:
         raise ValueError("empty h-core: A is undefined when h = 0")
-    return Fraction(sum(record.counts[:h]), h)
+    return a
 
 
 def r_index(record: CitationRecord) -> float:
     """Square root of the citations held by the h-core (0 when h = 0)."""
-    h = h_index(record)
-    if h == 0:
-        return 0.0
-    return math.sqrt(sum(record.counts[:h]))
+    return index_profile(record).r
 
 
 def j_index(record: CitationRecord) -> float:
     """Sum of the square roots of the counts of all cited publications."""
-    return math.fsum(math.sqrt(c) for c in record.counts if c > 0)
+    return index_profile(record).j
 
 
 def smooth(sequence: Sequence[float]) -> list[float]:
@@ -210,37 +246,4 @@ def js_index(record: CitationRecord) -> float:
     summation bound of the j-index itself; smoothing a constant sequence
     is the identity, so uniform records have jS = j.
     """
-    cited = record.cited_counts
-    if not cited:
-        return 0.0
-    return math.fsum(math.sqrt(v) for v in smooth(cited))
-
-
-def index_profile(record: CitationRecord) -> IndexProfile:
-    """All seven indicators for one record, computed consistently."""
-    h = h_index(record)
-    return IndexProfile(
-        total_citations=total_citations(record),
-        h=h,
-        g=g_index(record),
-        a=a_index(record) if h > 0 else None,
-        r=r_index(record),
-        j=j_index(record),
-        js=js_index(record),
-    )
-
-
-def h_core_partition(record: CitationRecord) -> HCorePartition:
-    """Citation split inside/outside the h-core, with proportions of T."""
-    total = total_citations(record)
-    if total == 0:
-        raise ValueError("no citations: partition proportions are undefined")
-    h = h_index(record)
-    h1 = sum(record.counts[:h])
-    h2 = h * h
-    h3 = h1 - h2
-    h4 = total - h1
-    return HCorePartition(
-        h1=h1, h2=h2, h3=h3, h4=h4,
-        g1=h1 / total, g2=h2 / total, g3=h3 / total, g4=h4 / total,
-    )
+    return index_profile(record).js

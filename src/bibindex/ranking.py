@@ -1,9 +1,10 @@
-"""Cohort rankings and the three rank-association measures.
+"""Cohort rankings (rank 1 = best) and the three rank-association measures.
 
-Rankings use fractional (average) ranks: rank 1 is the best value and
-tied values share the mean of the positions they span.  The association
-measures are the Spearman rank correlation, the normalised Spearman
-footrule, and the top-weighted M-measure on reciprocal ranks.
+Both tie policies live here: ``rank_descending`` gives tied values the mean
+of the positions they span, and ``rank_untied`` orders them by h, then T,
+then position (the reference tables' policy).  The association measures
+are the Spearman rank correlation, the normalised Spearman footrule, and
+the top-weighted M-measure on reciprocal ranks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,8 +37,8 @@ class Ranking:
 
     Every ranking is a valid fractional ranking.  Two tie policies produce
     them: ``rank_descending`` gives tied values the mean of the positions
-    they span, and table reproduction (``experiments._column_ranking``)
-    orders tied values by h, then T, into untied ranks 1..n.
+    they span, and ``rank_untied`` orders tied values by h, then T, into
+    untied ranks 1..n (the policy of the reference tables).
     """
 
     index_name: str
@@ -83,6 +84,18 @@ def _average_ranks(values) -> np.ndarray:
     return ranks
 
 
+def _ranking(values, index_name: str, ids, ranks_of) -> Ranking:
+    """Ranking of ``values`` with ranks ``ranks_of(-values)``, after validation."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("values must be a non-empty one-dimensional sequence")
+    if np.isnan(arr).any():
+        raise ValueError("values contain NaN")
+    if ids is None:
+        ids = tuple(str(i) for i in range(1, arr.size + 1))
+    return Ranking(index_name, tuple(ids), tuple(float(r) for r in ranks_of(-arr)))
+
+
 def rank_descending(values: Sequence[float], *, index_name: str = "value",
                     ids: Sequence[str] | None = None) -> Ranking:
     """Fractional ranks with rank 1 for the largest value.
@@ -90,15 +103,23 @@ def rank_descending(values: Sequence[float], *, index_name: str = "value",
     Tied values receive the arithmetic mean of the positions they span
     (e.g. [5, 5, 1] -> [1.5, 1.5, 3]).
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty one-dimensional sequence")
-    if np.isnan(arr).any():
-        raise ValueError("values contain NaN")
-    ranks = _average_ranks(-arr)
-    if ids is None:
-        ids = tuple(str(i) for i in range(1, arr.size + 1))
-    return Ranking(index_name, tuple(ids), tuple(float(r) for r in ranks))
+    return _ranking(values, index_name, ids, _average_ranks)
+
+
+def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float], *,
+                index_name: str = "value", ids: Sequence[str] | None = None) -> Ranking:
+    """Untied ranks 1..n with rank 1 for the largest value.
+
+    Tied values are ordered by the researchers' h, then T (larger first),
+    then by position (e.g. values [5, 5, 1] with h [2, 3, 1] -> [2, 1, 3]).
+    The bundled tables' coefficients were computed under this policy;
+    fractional ranks drift up to 0.015 from them on tied columns.
+    """
+    def ranks_of(negated):  # lexsort is stable and sorts by its last key first
+        order = np.lexsort((np.negative(t, dtype=float), np.negative(h, dtype=float), negated))
+        return order.argsort() + 1.0
+
+    return _ranking(values, index_name, ids, ranks_of)
 
 
 def _paired_ranks(r1: Ranking, r2: Ranking):
@@ -214,7 +235,7 @@ def significance_tag(rho: float, n: int) -> Significance:
     """
     if n < 3:
         raise ValueError("significance test needs n >= 3")
-    if abs(rho) > 1.0 + 1e-9:
+    if not abs(rho) <= 1.0 + 1e-9:  # also rejects NaN
         raise ValueError(f"correlation out of range: {rho}")
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
@@ -240,13 +261,25 @@ def associate(r1: Ranking, r2: Ranking) -> AssociationReport:
     )
 
 
+def association_grid(left: Sequence[str], right: Sequence[str],
+                     rank: Callable[[str], Ranking]) -> list[AssociationReport]:
+    """Association reports for every (left, right) pair of index names.
+
+    Pairs of an index with itself are omitted; ``rank(name)`` is called
+    once for each index that appears in a remaining pair.
+    """
+    pairs = [(row, col) for row in left for col in right if row != col]
+    rankings = {name: rank(name) for name in dict.fromkeys(name for pair in pairs for name in pair)}
+    return [associate(rankings[row], rankings[col]) for row, col in pairs]
+
+
 def association_matrix(cohort: Sequence[IndexProfile], left: Sequence[str],
                        right: Sequence[str], *,
                        ids: Sequence[str] | None = None) -> list[AssociationReport]:
     """Pairwise association reports between two sets of indices.
 
-    Rankings are built from the profile values of ``cohort``; pairs of an
-    index with itself are omitted.
+    Rankings are fractional (``rank_descending``) over the profile values
+    of ``cohort``; pairs of an index with itself are omitted.
     """
     if not cohort:
         raise ValueError("empty cohort")
@@ -255,19 +288,5 @@ def association_matrix(cohort: Sequence[IndexProfile], left: Sequence[str],
             raise ValueError(f"unknown index name: {name!r}")
     if ids is not None:
         ids = tuple(ids)
-
-    rankings: dict[str, Ranking] = {}
-
-    def ranking_for(name: str) -> Ranking:
-        if name not in rankings:
-            values = [profile.value(name) for profile in cohort]
-            rankings[name] = rank_descending(values, index_name=name, ids=ids)
-        return rankings[name]
-
-    reports = []
-    for left_name in left:
-        for right_name in right:
-            if left_name == right_name:
-                continue
-            reports.append(associate(ranking_for(left_name), ranking_for(right_name)))
-    return reports
+    return association_grid(left, right, lambda name: rank_descending(
+        [profile.value(name) for profile in cohort], index_name=name, ids=ids))

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .experiments import (AggregateTable, AssociationTable, DisciplineAggregate,
                           ManipulationReport, RankChangeReport)
+from .io import csv_field
 from .metrics import INDEX_FIELDS, INDEX_NAMES, HCorePartition, IndexProfile
 
 FORMATS = ("plain", "csv", "json-lines")
@@ -110,14 +111,8 @@ def _table_text(view: _View) -> str:
     return table if view.caption is None else f"{view.caption}\n{table}"
 
 
-def _csv_cell(value: str) -> str:
-    if "," in value or '"' in value or "\n" in value:
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
 def _csv(view: _View) -> str:
-    return "\n".join([",".join(map(_csv_cell, row)) for row in _text_rows(view, "csv")])
+    return "\n".join([",".join(map(csv_field, row)) for row in _text_rows(view, "csv")])
 
 
 _encode = json.JSONEncoder(ensure_ascii=False).encode

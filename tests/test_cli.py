@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: subcommands, formats and exit codes."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -202,3 +204,13 @@ def test_help_exits_zero(capsys):
     status, out, _ = run(capsys, "--help")
     assert status == 0
     assert "indices" in out
+
+
+def test_indices_csv_quotes_carriage_return_in_name(capsys, tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b'researcher,citations\n"a\rb",3\n"a\rb",1\nc,2\n')
+    status, out, _ = run(capsys, "indices", str(path), "--format", "csv")
+    assert status == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["researcher", "a\rb", "c"]
+    assert {len(row) for row in rows} == {8}

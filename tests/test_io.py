@@ -132,6 +132,13 @@ def test_serialize_parse_round_trip(records):
     assert back == list(records)
 
 
+def test_records_to_csv_quotes_line_breaks():
+    records = [CitationRecord.from_counts(name, [3, 1]) for name in ("a\rb", "c\r\nd", "e\nf", "g")]
+    text = records_to_csv(records)
+    assert '"a\rb",3,' in text
+    assert parse_citations_csv(io.StringIO(text, newline="")) == records
+
+
 def test_records_to_csv_rejects_rowless_records():
     with pytest.raises(ValueError, match="no stored counts"):
         records_to_csv([CitationRecord.from_counts("a", [], total_publications=3)])

@@ -267,6 +267,44 @@ def test_partition_identities(counts):
     assert round(r * r) == part.h1
 
 
+def oracle_profile(counts):
+    """(T, h, g, A, R, j, jS) from the definitions, each index on its own."""
+    ordered = sorted(counts, reverse=True)
+    h = brute_h(counts)
+    core = sum(ordered[:h])
+    cited = [c for c in ordered if c > 0]
+    return (sum(counts), h, brute_g(counts), Fraction(core, h) if h else None,
+            math.sqrt(core), brute_j(counts), sum(math.sqrt(v) for v in prefix_means(cited)))
+
+
+# small counts make zeros, ties and h-core boundaries common
+zero_heavy_lists = st.lists(st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=1000),
+                            max_size=60)
+
+
+@given(zero_heavy_lists)
+def test_profile_matches_oracles_and_scalar_functions(counts):
+    record = rec(counts)
+    p = index_profile(record)
+    t, h, g, a, r, j, js = oracle_profile(counts)
+    assert (p.total_citations, p.h, p.g, p.a) == (t, h, g, a)
+    assert p.r == r
+    assert p.j == pytest.approx(j, rel=1e-12, abs=1e-12)
+    assert p.js == pytest.approx(js, rel=1e-12, abs=1e-12)
+
+    assert total_citations(record) == p.total_citations
+    assert h_index(record) == p.h
+    assert g_index(record) == p.g
+    assert r_index(record) == p.r
+    assert j_index(record) == p.j
+    assert js_index(record) == p.js
+    if p.a is None:
+        with pytest.raises(ValueError, match="empty h-core"):
+            a_index(record)
+    else:
+        assert a_index(record) == p.a
+
+
 # ---------------------------------------------------------------------------
 # record validation
 

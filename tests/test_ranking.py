@@ -22,11 +22,12 @@ from bibindex import (
     load_bundled_dataset,
     m_measure,
     rank_descending,
+    rank_untied,
     significance_tag,
     spearman_rho,
     CitationRecord,
 )
-from bibindex.ranking import _average_ranks, _two_tailed_t
+from bibindex.ranking import _average_ranks, _two_tailed_t, association_grid
 
 
 def ranking(ranks, name="x"):
@@ -56,6 +57,37 @@ def test_rank_descending_distinct():
 
 def test_rank_descending_fractional_ties():
     assert rank_descending([5, 5, 1]).ranks == (1.5, 1.5, 3.0)
+
+
+def test_rank_untied_orders_ties_by_h_then_t_then_position():
+    values = [5, 5, 5, 5, 1]
+    h = [2, 3, 3, 3, 9]
+    t = [50, 40, 60, 60, 99]
+    # value 5 is shared by four: h 3 before h 2; among h 3, T 60 before T 40;
+    # the two tied on value, h and T keep their order
+    ranking = rank_untied(values, h, t, index_name="j", ids="abcde")
+    assert ranking.ranks == (4.0, 3.0, 1.0, 2.0, 5.0)
+    assert (ranking.index_name, ranking.ids) == ("j", tuple("abcde"))
+    assert rank_untied([5, 5, 1], [2, 3, 1], [0, 0, 0]).ranks == (2.0, 1.0, 3.0)
+    with pytest.raises(ValueError, match="same shape"):
+        rank_untied([1, 2], [1], [1, 2])
+    with pytest.raises(ValueError, match="NaN"):
+        rank_untied([1, float("nan")], [1, 1], [1, 1])
+
+
+def test_association_grid_ranks_each_paired_index_once():
+    ranked = []
+
+    def rank(name):
+        ranked.append(name)
+        return rank_descending({"T": [3, 2, 1], "h": [1, 2, 3], "j": [2, 1, 3], "g": [1, 1, 1]}[name],
+                               index_name=name)
+
+    reports = association_grid(["T", "h", "g"], ["h", "j", "g"], rank)
+    assert [r.pair for r in reports] == [("T", "h"), ("T", "j"), ("T", "g"), ("h", "j"),
+                                         ("h", "g"), ("g", "h"), ("g", "j")]
+    assert ranked == ["T", "h", "j", "g"]
+    assert association_grid(["h"], ["h"], rank) == []
 
 
 def test_rank_descending_rejects_nan():
@@ -208,6 +240,12 @@ def test_significance_edge_cases():
         significance_tag(0.5, 2)
     with pytest.raises(ValueError, match="out of range"):
         significance_tag(1.5, 20)
+
+
+def test_significance_rejects_non_finite_coefficients():
+    for rho in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="out of range"):
+            significance_tag(rho, 20)
 
 
 def test_significance_is_symmetric_in_sign():

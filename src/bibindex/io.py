@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
@@ -110,13 +111,32 @@ def _parse_count(cell: str, line_no: int) -> int:
     return value
 
 
+def _check_long_row(cells: list[str], width: int, line_no: int) -> int | None:
+    """Every check on one long-format row, in order: raise on the first failure.
+
+    Returns None for a blank line, and the count for a valid row, which
+    reaches here only when its count is padded with the separators
+    U+001C..U+001F: ``str.strip`` removes them and ``int`` does not.
+    """
+    if not cells:
+        return None
+    if tuple(cell.strip() for cell in cells) in (_LONG_HEADER, _LONG_HEADER_SIDECAR):
+        raise ParseError(f"line {line_no}: duplicate header row")
+    if len(cells) != width:
+        raise ParseError(f"line {line_no}: expected {width} columns, got {len(cells)}")
+    if not cells[0]:
+        raise ParseError(f"line {line_no}: empty researcher name")
+    return _parse_count(cells[1], line_no)
+
+
 def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
     """Parse long-format citation data: one publication per row.
 
     Expects the header ``researcher,citations`` with an optional third
     ``uncited_publications`` column recording, once per researcher, how
     many of their publications have no citations at all.  Rows belonging
-    to one researcher may appear anywhere in the file.
+    to one researcher may appear anywhere in the file.  Error messages
+    name the physical line a bad row ends on.
     """
     reader = csv.reader(stream)
     try:
@@ -130,23 +150,26 @@ def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
     else:
         raise ParseError(f"line 1: expected header 'researcher,citations[,uncited_publications]', got {header}")
 
-    counts: dict[str, list[int]] = {}
+    width = len(header)
+    counts: defaultdict[str, list[int]] = defaultdict(list)
     uncited: dict[str, int] = {}
-    for line_no, cells in enumerate(reader, start=2):
-        if not cells:
-            continue  # blank line
-        if tuple(cell.strip() for cell in cells) in (_LONG_HEADER, _LONG_HEADER_SIDECAR):
-            raise ParseError(f"line {line_no}: duplicate header row")
-        if len(cells) != len(header):
-            raise ParseError(f"line {line_no}: expected {len(header)} columns, got {len(cells)}")
+    for cells in reader:
+        # a valid row costs these four tests; any other row goes to the checker,
+        # a repeated header too, because int("citations") fails
+        try:
+            count = int(cells[1]) if len(cells) == width and cells[0] else -1
+        except ValueError:
+            count = -1
+        if count < 0:
+            count = _check_long_row(cells, width, reader.line_num)
+            if count is None:
+                continue  # blank line
         name = cells[0]  # kept verbatim: names are opaque labels
-        if not name:
-            raise ParseError(f"line {line_no}: empty researcher name")
-        counts.setdefault(name, []).append(_parse_count(cells[1], line_no))
+        counts[name].append(count)
         if has_sidecar and cells[2].strip():
-            extra = _parse_count(cells[2], line_no)
+            extra = _parse_count(cells[2], reader.line_num)
             if name in uncited and uncited[name] != extra:
-                raise ParseError(f"line {line_no}: conflicting uncited_publications for {name!r}")
+                raise ParseError(f"line {reader.line_num}: conflicting uncited_publications for {name!r}")
             uncited[name] = extra
 
     if not counts:
@@ -159,13 +182,17 @@ def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
 
 
 def parse_citations_wide(stream: Iterable[str]) -> list[CitationRecord]:
-    """Parse wide-format data: each row is a name followed by its counts."""
+    """Parse wide-format data: each row is a name followed by its counts.
+
+    Error messages name the physical line a bad row ends on.
+    """
     reader = csv.reader(stream)
     records = []
     seen = set()
-    for line_no, cells in enumerate(reader, start=1):
+    for cells in reader:
         if not cells:
             continue
+        line_no = reader.line_num
         name = cells[0].strip()
         if not name:
             raise ParseError(f"line {line_no}: empty researcher name")

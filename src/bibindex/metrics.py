@@ -36,15 +36,15 @@ class CitationRecord:
 
     def __post_init__(self):
         try:
-            counts = tuple(operator.index(c) for c in self.counts)
+            counts = tuple(map(operator.index, self.counts))
             total = operator.index(self.total_publications)
         except TypeError:
             raise ValueError("citation counts and totals must be integers") from None
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_publications", total)
-        if any(c < 0 for c in counts):
+        if min(counts, default=0) < 0:
             raise ValueError("citation counts must be non-negative")
-        if any(a < b for a, b in zip(counts, counts[1:])):
+        if not all(map(operator.ge, counts, counts[1:])):
             raise ValueError("counts must be non-increasing")
         if total < len(counts):
             raise ValueError("total_publications cannot be smaller than the stored counts")
@@ -130,26 +130,27 @@ class HCorePartition:
     g4: float
 
 
-def _kernel(counts: Sequence[int]) -> tuple[int, int, int, int, float, float]:
+def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int, int, float, float]:
     """T, h, the h-core's citations, g, j and jS, in one pass over descending counts.
 
     Zeros sort last, so the running mean at a cited rank is its smoothed count.
+    With ``roots=False`` the square roots are skipped and j and jS read 0.0.
     """
     sqrt = math.sqrt
     total = h = core = g = 0
-    roots, smoothed_roots = [], []
+    root_terms, smoothed_terms = [], []
     for rank, c in enumerate(counts, start=1):
         total += c
         if c >= rank:
             h, core = rank, total
         if total >= rank * rank:
             g = rank
-        if c:
-            roots.append(sqrt(c))
-            smoothed_roots.append(sqrt(total / rank))
+        if roots and c:
+            root_terms.append(sqrt(c))
+            smoothed_terms.append(sqrt(total / rank))
     if math.isqrt(total) >= len(counts):  # unbounded g: uncited papers pad the list
         g = math.isqrt(total)
-    return total, h, core, g, math.fsum(roots), math.fsum(smoothed_roots)
+    return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)
 
 
 def index_profile(record: CitationRecord) -> IndexProfile:
@@ -168,7 +169,7 @@ def index_profile(record: CitationRecord) -> IndexProfile:
 
 def h_core_partition(record: CitationRecord) -> HCorePartition:
     """Citation split inside/outside the h-core, with proportions of T."""
-    total, h, h1, *_ = _kernel(record.counts)
+    total, h, h1, *_ = _kernel(record.counts, roots=False)
     if total == 0:
         raise ValueError("no citations: partition proportions are undefined")
     h2 = h * h

@@ -1,10 +1,12 @@
 """CSV ingestion, bundled datasets and report emission."""
 
+import csv
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibindex import (
@@ -91,6 +93,160 @@ def test_parse_ten_papers_with_ten_citations():
     assert index_profile(records[0]).h == 10
 
 
+def test_parse_error_names_physical_line_after_quoted_line_break():
+    with pytest.raises(ParseError, match="line 4: citations must be an integer"):
+        parse('researcher,citations\n"a\nb",1\nc,x\n')
+
+
+def _reference_parse_count(cell, line_no):
+    text = cell.strip()
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"line {line_no}: citations must be an integer, got {cell!r}") from None
+    if value < 0:
+        raise ParseError(f"line {line_no}: citations must be non-negative, got {value}")
+    return value
+
+
+def _reference_parse_long(stream):
+    """The row-by-row long-format parser that ``parse_citations_csv`` replaced.
+
+    It numbers lines by CSV record, so its numbers run short after a
+    quoted line break.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise ParseError("no records: file is empty") from None
+    if tuple(header) == ("researcher", "citations"):
+        has_sidecar = False
+    elif tuple(header) == ("researcher", "citations", "uncited_publications"):
+        has_sidecar = True
+    else:
+        raise ParseError(f"line 1: expected header 'researcher,citations[,uncited_publications]', got {header}")
+
+    counts, uncited = {}, {}
+    for line_no, cells in enumerate(reader, start=2):
+        if not cells:
+            continue  # blank line
+        if tuple(cell.strip() for cell in cells) in (
+                ("researcher", "citations"), ("researcher", "citations", "uncited_publications")):
+            raise ParseError(f"line {line_no}: duplicate header row")
+        if len(cells) != len(header):
+            raise ParseError(f"line {line_no}: expected {len(header)} columns, got {len(cells)}")
+        name = cells[0]
+        if not name:
+            raise ParseError(f"line {line_no}: empty researcher name")
+        counts.setdefault(name, []).append(_reference_parse_count(cells[1], line_no))
+        if has_sidecar and cells[2].strip():
+            extra = _reference_parse_count(cells[2], line_no)
+            if name in uncited and uncited[name] != extra:
+                raise ParseError(f"line {line_no}: conflicting uncited_publications for {name!r}")
+            uncited[name] = extra
+
+    if not counts:
+        raise ParseError("no records: file contains only a header")
+    return [CitationRecord.from_counts(name, values, total_publications=len(values) + uncited.get(name, 0))
+            for name, values in counts.items()]
+
+
+def _padded(text):
+    return st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " "])).map(
+        lambda pad: pad[0] + text + pad[1])
+
+
+_headers = st.one_of(
+    st.tuples(_padded("researcher"), _padded("citations")),
+    st.tuples(_padded("researcher"), _padded("citations"), _padded("uncited_publications")),
+).map(list)
+_valid_names = st.sampled_from(["a", "a", "a", "b", " a ", "Doe, Jane", 'Li "Lee" Wu', "x\ny", "c\r\nd"])
+_valid_counts = st.sampled_from([" 5 ", "1_000", "+2", "-0", "\x1c7", "\t3"]) | st.integers(0, 12).map(str)
+_valid_sidecars = st.sampled_from(["", " ", "0", "2", " 2 ", "3"])
+_bad_cells = st.sampled_from(["", " ", "-1", "two", "True", "3.0", "1e3", "x", "-1 "])
+_any_cells = _valid_names | _valid_counts | _valid_sidecars | _bad_cells
+
+
+@st.composite
+def _long_rows(draw, width):
+    """A valid row of the header's width, one with a bad cell or a cell too
+    few or too many, a blank line, a header or any cells."""
+    kind = draw(st.sampled_from(["valid"] * 8 + ["bad"] * 3 + ["width"] * 3 + ["blank", "header", "messy"]))
+    if kind == "blank":
+        return []
+    if kind == "header":
+        return draw(_headers)
+    if kind == "messy":
+        return draw(st.lists(_any_cells, min_size=1, max_size=4))
+    row = [draw(_valid_names), draw(_valid_counts)] + [draw(_valid_sidecars)] * (width - 2)
+    if kind == "width":
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(_any_cells))
+    if kind != "valid" and draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] = draw(_bad_cells)
+    return row
+
+
+def _outcome(parser, text):
+    try:
+        return parser(io.StringIO(text, newline=""))
+    except ParseError as err:
+        return str(err)
+
+
+def _csv_line(cells, force_quote):
+    def field(cell):
+        if force_quote or any(ch in cell for ch in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+    return ",".join(field(cell) for cell in cells)
+
+
+@settings(max_examples=400)
+@given(st.data(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_parse_long_matches_row_by_row_reference(data, eol, trailing_eol):
+    header = data.draw(_headers, label="header")
+    rows = data.draw(st.lists(st.tuples(_long_rows(len(header)), st.booleans()), min_size=1, max_size=12),
+                     label="rows")
+    lines = [_csv_line(header, False)] + [_csv_line(cells, quoted) for cells, quoted in rows]
+    text = eol.join(lines) + (eol if trailing_eol else "")
+    outcomes = [_outcome(parser, text) for parser in (parse_citations_csv, _reference_parse_long)]
+    if any("\n" in cell or "\r" in cell for cells, _ in rows for cell in cells):
+        # a quoted line break is one line to the reference and two to the parser
+        outcomes = [re.sub(r"^line \d+: ", "line ?: ", o) if isinstance(o, str) else o
+                    for o in outcomes]
+    assert outcomes[0] == outcomes[1]
+
+
+_LONG = "researcher,citations\n"
+_SIDECAR = "researcher,citations,uncited_publications\n"
+
+
+@pytest.mark.parametrize("text", [
+    _SIDECAR + "a,1,2\na,1,0\n",  # conflicting sidecars, either way round
+    _SIDECAR + "a,1,0\na,1,2\n",
+    _SIDECAR + "a,1, \na,2,3\n",  # a blank sidecar
+    _SIDECAR + "a,1,x\n",
+    _SIDECAR + "a,1,2,\n",  # too wide
+    _LONG + "a,1,2\n",
+    _LONG + ",1,2\n",  # empty name on a row of the wrong width
+    _SIDECAR + ",1\n",
+    _LONG + ",5\n",
+    _LONG + "a,\x1c7\n",  # int() keeps this padding, str.strip() removes it
+    _SIDECAR + "a,\x1c7,\x1f2\n",
+    _LONG + "a, 5 \na,True\n",
+    _LONG + " researcher , citations \n",
+    _LONG + _SIDECAR,
+    _SIDECAR + " researcher,citations\n",
+    _LONG + "a,1\r\n\r\nb,-1\r\n",
+])
+def test_parse_long_edge_cases_match_row_by_row_reference(text):
+    assert _outcome(parse_citations_csv, text) == _outcome(_reference_parse_long, text)
+
+
 # ---------------------------------------------------------------------------
 # wide-format parsing
 
@@ -109,6 +265,11 @@ def test_parse_wide_duplicate_name():
 def test_parse_wide_bad_count():
     with pytest.raises(ParseError, match="line 2"):
         parse_citations_wide(io.StringIO("a,1\nb,x\n"))
+
+
+def test_parse_wide_error_names_physical_line_after_quoted_line_break():
+    with pytest.raises(ParseError, match="line 3: citations must be an integer"):
+        parse_citations_wide(io.StringIO('"a\nb",1\nc,x\n'))
 
 
 # ---------------------------------------------------------------------------

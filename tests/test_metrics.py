@@ -305,6 +305,20 @@ def test_profile_matches_oracles_and_scalar_functions(counts):
         assert a_index(record) == p.a
 
 
+@given(zero_heavy_lists)
+def test_partition_core_and_total_match_profile(counts):
+    record = rec(counts)
+    p = index_profile(record)
+    if p.total_citations == 0:
+        with pytest.raises(ValueError, match="no citations"):
+            h_core_partition(record)
+        return
+    part = h_core_partition(record)
+    assert part.h1 == round(p.r ** 2)
+    assert part.h1 + part.h4 == p.total_citations
+    assert part.h2 == p.h ** 2
+
+
 # ---------------------------------------------------------------------------
 # record validation
 
@@ -318,6 +332,25 @@ def test_record_validation():
         CitationRecord("x", (3.5, 1), 2)
     with pytest.raises(ValueError, match="total_publications"):
         CitationRecord("x", (3, 1), 1)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((3, 1.5), "citation counts and totals must be integers"),
+    (("3",), "citation counts and totals must be integers"),
+    ((3, -1), "citation counts must be non-negative"),
+    ((-1,), "citation counts must be non-negative"),
+    ((1, 2), "counts must be non-increasing"),
+    ((5, 3, 3, 4), "counts must be non-increasing"),
+])
+def test_record_rejects_bad_counts_with_messages(counts, message):
+    with pytest.raises(ValueError) as err:
+        CitationRecord("x", counts, 4)
+    assert str(err.value) == message
+
+
+def test_record_accepts_empty_counts():
+    assert CitationRecord("x", (), 0).counts == ()
+    assert CitationRecord("x", (), 3).total_publications == 3
 
 
 def test_record_totals_and_cited_counts():

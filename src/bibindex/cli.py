@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
 
 
 def _load_records(args):
-    with open(args.file, newline="", encoding="utf-8-sig") as stream:  # a leading BOM is not data
+    with open(args.file, newline="", encoding="utf-8") as stream:
         if args.wide:
             return parse_citations_wide(stream)
         return parse_citations_csv(stream)

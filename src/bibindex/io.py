@@ -12,8 +12,10 @@ from .metrics import INDEX_FIELDS, CitationRecord
 
 DISCIPLINES = ("immunology", "economics", "physics")
 
-_LONG_HEADER = ("researcher", "citations")
-_LONG_HEADER_SIDECAR = ("researcher", "citations", "uncited_publications")
+_LONG_HEADERS = (("researcher", "citations"), ("researcher", "citations", "uncited_publications"))
+_MAX_COUNT = 10**9  # T then fits in int64 and converts to float exactly up to about 9M rows
+_PAD = " \t"  # the padding a count may carry
+_BOM = "\ufeff"  # a leading byte-order mark is not data
 
 
 class ParseError(ValueError):
@@ -100,33 +102,34 @@ def load_bundled_dataset(discipline: str) -> CohortDataset:
     return CohortDataset(discipline=key, rows=tuple(rows))
 
 
-def _parse_count(cell: str, line_no: int) -> int:
-    text = cell.strip()
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"line {line_no}: citations must be an integer, got {cell!r}") from None
-    if value < 0:
-        raise ParseError(f"line {line_no}: citations must be non-negative, got {value}")
-    return value
+def _name(cell: str, line_no: int) -> str:
+    """The one name rule: the cell with surrounding whitespace stripped, never empty."""
+    name = cell.strip()
+    if not name:
+        raise ParseError(f"line {line_no}: empty researcher name")
+    return name
 
 
-def _check_long_row(cells: list[str], width: int, line_no: int) -> int | None:
-    """Every check on one long-format row, in order: raise on the first failure.
+def _count(cell: str, line_no: int) -> int:
+    """The one count rule: ASCII digits, optionally padded with spaces or tabs, at most 10**9."""
+    digits = cell.strip(_PAD)
+    significant = digits.lstrip("0")  # int() refuses strings of over 4300 digits, zeros too
+    if digits.isdigit() and digits.isascii() and len(significant) <= 10 \
+            and (value := int(significant or 0)) <= _MAX_COUNT:
+        return value
+    raise ParseError(f"line {line_no}: citations must be an integer from 0 to {_MAX_COUNT}, got {cell!r}")
 
-    Returns None for a blank line, and the count for a valid row, which
-    reaches here only when its count is padded with the separators
-    U+001C..U+001F: ``str.strip`` removes them and ``int`` does not.
-    """
+
+def _long_row(cells: list[str], width: int, line_no: int) -> tuple[str, int] | None:
+    """Every check on one long-format row, in order: None for a blank line,
+    ``(name, count)`` for a valid row; raises on the first failure."""
     if not cells:
         return None
-    if tuple(cell.strip() for cell in cells) in (_LONG_HEADER, _LONG_HEADER_SIDECAR):
+    if tuple(map(str.strip, cells)) in _LONG_HEADERS:
         raise ParseError(f"line {line_no}: duplicate header row")
     if len(cells) != width:
         raise ParseError(f"line {line_no}: expected {width} columns, got {len(cells)}")
-    if not cells[0]:
-        raise ParseError(f"line {line_no}: empty researcher name")
-    return _parse_count(cells[1], line_no)
+    return _name(cells[0], line_no), _count(cells[1], line_no)
 
 
 def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
@@ -139,68 +142,66 @@ def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
     name the physical line a bad row ends on.
     """
     reader = csv.reader(stream)
-    try:
-        header = [cell.strip() for cell in next(reader)]
-    except StopIteration:
-        raise ParseError("no records: file is empty") from None
-    if tuple(header) == _LONG_HEADER:
-        has_sidecar = False
-    elif tuple(header) == _LONG_HEADER_SIDECAR:
-        has_sidecar = True
-    else:
-        raise ParseError(f"line 1: expected header 'researcher,citations[,uncited_publications]', got {header}")
-
-    width = len(header)
     counts: defaultdict[str, list[int]] = defaultdict(list)
     uncited: dict[str, int] = {}
-    for cells in reader:
-        # a valid row costs these four tests; any other row goes to the checker,
-        # a repeated header too, because int("citations") fails
-        try:
-            count = int(cells[1]) if len(cells) == width and cells[0] else -1
-        except ValueError:
-            count = -1
-        if count < 0:
-            count = _check_long_row(cells, width, reader.line_num)
-            if count is None:
-                continue  # blank line
-        name = cells[0]  # kept verbatim: names are opaque labels
-        counts[name].append(count)
-        if has_sidecar and cells[2].strip():
-            extra = _parse_count(cells[2], reader.line_num)
-            if name in uncited and uncited[name] != extra:
-                raise ParseError(f"line {reader.line_num}: conflicting uncited_publications for {name!r}")
-            uncited[name] = extra
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("no records: file is empty")
+        if first:
+            first[0] = first[0].removeprefix(_BOM)
+        header = tuple(map(str.strip, first))
+        if header not in _LONG_HEADERS:
+            raise ParseError("line 1: expected header 'researcher,citations[,uncited_publications]', "
+                             f"got {list(header)}")
+        width = len(header)
+        known: dict[str, int] = {}  # count cells the full check accepted, and their values
+        for cells in reader:
+            # the shortcut takes a row with a name and a count cell the full check accepted before
+            if not (len(cells) == width and (name := cells[0].strip())
+                    and (count := known.get(cells[1])) is not None):
+                row = _long_row(cells, width, reader.line_num)
+                if row is None:
+                    continue  # blank line
+                name, count = row
+                if len(known) < 65536:  # bounds the memory a file of many distinct counts takes
+                    known[cells[1]] = count
+            counts[name].append(count)
+            if width == 3 and cells[2].strip(_PAD):
+                extra = _count(cells[2], reader.line_num)
+                if name in uncited and uncited[name] != extra:
+                    raise ParseError(f"line {reader.line_num}: conflicting uncited_publications for {name!r}")
+                uncited[name] = extra
+    except csv.Error as err:
+        raise ParseError(f"line {reader.line_num}: {err}") from None
 
     if not counts:
         raise ParseError("no records: file contains only a header")
-    records = []
-    for name, values in counts.items():
-        records.append(CitationRecord.from_counts(
-            name, values, total_publications=len(values) + uncited.get(name, 0)))
-    return records
+    return [CitationRecord.from_counts(name, values, total_publications=len(values) + uncited.get(name, 0))
+            for name, values in counts.items()]
 
 
 def parse_citations_wide(stream: Iterable[str]) -> list[CitationRecord]:
     """Parse wide-format data: each row is a name followed by its counts.
 
-    Error messages name the physical line a bad row ends on.
+    Blank count cells are skipped.  Error messages name the physical line
+    a bad row ends on.
     """
     reader = csv.reader(stream)
-    records = []
-    seen = set()
-    for cells in reader:
-        if not cells:
-            continue
-        line_no = reader.line_num
-        name = cells[0].strip()
-        if not name:
-            raise ParseError(f"line {line_no}: empty researcher name")
-        if name in seen:
-            raise ParseError(f"line {line_no}: duplicate researcher {name!r}")
-        seen.add(name)
-        values = [_parse_count(cell, line_no) for cell in cells[1:] if cell.strip() != ""]
-        records.append(CitationRecord.from_counts(name, values))
+    records, seen = [], set()
+    try:
+        for cells in reader:
+            if not cells:
+                continue
+            line_no = reader.line_num
+            name = _name(cells[0] if records else cells[0].removeprefix(_BOM), line_no)
+            if name in seen:
+                raise ParseError(f"line {line_no}: duplicate researcher {name!r}")
+            seen.add(name)
+            values = [_count(cell, line_no) for cell in cells[1:] if cell.strip(_PAD)]
+            records.append(CitationRecord.from_counts(name, values))
+    except csv.Error as err:
+        raise ParseError(f"line {reader.line_num}: {err}") from None
     if not records:
         raise ParseError("no records: file is empty")
     return records
@@ -209,11 +210,14 @@ def parse_citations_wide(stream: Iterable[str]) -> list[CitationRecord]:
 def records_to_csv(records: Sequence[CitationRecord]) -> str:
     """Serialize records to the long CSV format accepted by the parser.
 
-    Each record needs at least one stored count: a researcher without any
-    rows cannot be expressed in long format.
+    Each record needs at least one stored count, because a researcher
+    without any rows cannot be expressed in long format, and a name that
+    the parser reads back unchanged.
     """
-    lines = [",".join(_LONG_HEADER_SIDECAR)]
+    lines = [",".join(_LONG_HEADERS[1])]
     for record in records:
+        if not record.researcher_id or record.researcher_id != record.researcher_id.strip():
+            raise ValueError(f"{record.researcher_id!r}: a name must be non-empty and unpadded to read back")
         if not record.counts:
             raise ValueError(f"{record.researcher_id!r} has no stored counts; "
                              "long format needs at least one row per researcher")

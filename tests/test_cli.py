@@ -124,6 +124,25 @@ def test_malformed_csv_is_data_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_oversized_field_is_data_error(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("researcher,citations\n" + "x" * 200_000 + ",1\n", encoding="utf-8")
+    status, out, err = run(capsys, "indices", str(path))
+    assert status == 2
+    assert err.startswith("error: line 2: field larger than field limit")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["indices", "compare", "hcore"])
+def test_huge_count_is_data_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.csv"
+    path.write_text(COHORT + "dan," + "9" * 401 + "\n", encoding="utf-8")
+    status, out, err = run(capsys, command, str(path))
+    assert status == 2
+    assert err.startswith("error: line 12: citations must be an integer")
+    assert out == ""
+
+
 def test_hcore_outputs_partitions_and_aggregate(capsys, cohort_file):
     status, out, _ = run(capsys, "hcore", cohort_file)
     assert status == 0

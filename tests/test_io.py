@@ -99,21 +99,18 @@ def test_parse_error_names_physical_line_after_quoted_line_break():
 
 
 def _reference_parse_count(cell, line_no):
-    text = cell.strip()
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"line {line_no}: citations must be an integer, got {cell!r}") from None
-    if value < 0:
-        raise ParseError(f"line {line_no}: citations must be non-negative, got {value}")
-    return value
+    text = cell.strip(" \t")
+    if text and all(ch in "0123456789" for ch in text) and int(text) <= 10**9:
+        return int(text)
+    raise ParseError(f"line {line_no}: citations must be an integer from 0 to 1000000000, got {cell!r}")
 
 
 def _reference_parse_long(stream):
-    """The row-by-row long-format parser that ``parse_citations_csv`` replaced.
+    """The input contract as a plain row-by-row long-format parser.
 
-    It numbers lines by CSV record, so its numbers run short after a
-    quoted line break.
+    Names are stripped and must not be empty; a count is ASCII digits,
+    optionally padded with spaces or tabs, of at most 10**9.  It numbers
+    lines by CSV record, so its numbers run short after a quoted line break.
     """
     reader = csv.reader(stream)
     try:
@@ -136,11 +133,11 @@ def _reference_parse_long(stream):
             raise ParseError(f"line {line_no}: duplicate header row")
         if len(cells) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} columns, got {len(cells)}")
-        name = cells[0]
+        name = cells[0].strip()
         if not name:
             raise ParseError(f"line {line_no}: empty researcher name")
         counts.setdefault(name, []).append(_reference_parse_count(cells[1], line_no))
-        if has_sidecar and cells[2].strip():
+        if has_sidecar and cells[2].strip(" \t"):
             extra = _reference_parse_count(cells[2], line_no)
             if name in uncited and uncited[name] != extra:
                 raise ParseError(f"line {line_no}: conflicting uncited_publications for {name!r}")
@@ -161,8 +158,11 @@ _headers = st.one_of(
     st.tuples(_padded("researcher"), _padded("citations")),
     st.tuples(_padded("researcher"), _padded("citations"), _padded("uncited_publications")),
 ).map(list)
+# names are stripped, so " a " is "a"; of the counts, " 5 ", "\t3" and "0000000005" are valid and the
+# other listed cells are rejected
 _valid_names = st.sampled_from(["a", "a", "a", "b", " a ", "Doe, Jane", 'Li "Lee" Wu', "x\ny", "c\r\nd"])
-_valid_counts = st.sampled_from([" 5 ", "1_000", "+2", "-0", "\x1c7", "\t3"]) | st.integers(0, 12).map(str)
+_valid_counts = st.sampled_from([" 5 ", "1_000", "+2", "-0", "\x1c7", "\t3", "٥", "\xa05", "1000000001",
+                                 "0000000005"]) | st.integers(0, 12).map(str)
 _valid_sidecars = st.sampled_from(["", " ", "0", "2", " 2 ", "3"])
 _bad_cells = st.sampled_from(["", " ", "-1", "two", "True", "3.0", "1e3", "x", "-1 "])
 _any_cells = _valid_names | _valid_counts | _valid_sidecars | _bad_cells
@@ -225,6 +225,14 @@ _LONG = "researcher,citations\n"
 _SIDECAR = "researcher,citations,uncited_publications\n"
 
 
+def test_parse_long_with_many_distinct_counts_matches_row_by_row_reference():
+    # more distinct count cells than the parser's shortcut remembers, half of them padded
+    text = _LONG + "".join(f"r{i % 7},{i}\n" if i % 2 else f"r{i % 7}, {i}\n" for i in range(70_000))
+    assert _outcome(parse_citations_csv, text) == _outcome(_reference_parse_long, text)
+    text += "r0,x\n"
+    assert _outcome(parse_citations_csv, text) == _outcome(_reference_parse_long, text)
+
+
 @pytest.mark.parametrize("text", [
     _SIDECAR + "a,1,2\na,1,0\n",  # conflicting sidecars, either way round
     _SIDECAR + "a,1,0\na,1,2\n",
@@ -235,7 +243,7 @@ _SIDECAR = "researcher,citations,uncited_publications\n"
     _LONG + ",1,2\n",  # empty name on a row of the wrong width
     _SIDECAR + ",1\n",
     _LONG + ",5\n",
-    _LONG + "a,\x1c7\n",  # int() keeps this padding, str.strip() removes it
+    _LONG + "a,\x1c7\n",  # padding other than spaces and tabs is rejected
     _SIDECAR + "a,\x1c7,\x1f2\n",
     _LONG + "a, 5 \na,True\n",
     _LONG + " researcher , citations \n",
@@ -245,6 +253,84 @@ _SIDECAR = "researcher,citations,uncited_publications\n"
 ])
 def test_parse_long_edge_cases_match_row_by_row_reference(text):
     assert _outcome(parse_citations_csv, text) == _outcome(_reference_parse_long, text)
+
+
+# ---------------------------------------------------------------------------
+# the input contract, shared by both formats
+
+
+def _in_every_position(cell):
+    """Parsers and texts that put ``cell`` on line 2 for researcher "a": as a
+    long-format count, as a sidecar count and as a wide-format count."""
+    return [(parse_citations_csv, f"{_LONG}a,{cell}\n"),
+            (parse_citations_csv, f"{_SIDECAR}a,1,{cell}\n"),
+            (parse_citations_wide, f"z,1\na,{cell}\n")]
+
+
+@pytest.mark.parametrize("cell,value", [
+    ("1000000000", 10**9), (" 7\t", 7), ("0000000005", 5),
+    pytest.param("0" * 5000 + "3", 3, id="5000-digits-value-3")])
+def test_counts_within_the_contract_are_read_in_every_position(cell, value):
+    long, sidecar, wide = (parser(io.StringIO(text)) for parser, text in _in_every_position(cell))
+    assert long == [CitationRecord.from_counts("a", [value])]
+    assert sidecar == [CitationRecord.from_counts("a", [1], total_publications=1 + value)]
+    assert wide[1] == CitationRecord.from_counts("a", [value])
+
+
+@pytest.mark.parametrize("cell", [
+    "1000000001", pytest.param("9" * 401, id="401-digits"), pytest.param("9" * 5000, id="5000-digits"),
+    "1_000", "+2", "-0", "-1", "٥", "\xa05", "\x1c7", "7\x1f", "1e3", "True"])
+def test_counts_outside_the_contract_are_rejected_in_every_position(cell):
+    for parser, text in _in_every_position(cell):
+        with pytest.raises(ParseError, match="^line 2: citations must be an integer from 0 to 1000000000, got"):
+            parser(io.StringIO(text))
+
+
+def test_long_names_are_stripped_like_wide_names():
+    records = parse(_LONG + " a ,3\na,1\n\ta\t,2\n")
+    assert records == [CitationRecord.from_counts("a", [3, 1, 2])]
+    with pytest.raises(ParseError, match="line 2: empty researcher name"):
+        parse(_LONG + " \t,3\n")
+
+
+def test_oversized_field_is_a_parse_error_naming_its_line():
+    name = "x" * 200_000
+    with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
+        parse(f"{_LONG}{name},1\n")
+    with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
+        parse_citations_wide(io.StringIO(f"a,1\n{name},1\n"))
+
+
+def test_long_parser_skips_a_leading_byte_order_mark():
+    text = _SIDECAR + "a,3,1\nb,2,\n"
+    assert parse("\ufeff" + text) == parse(text)
+
+
+def test_wide_parser_skips_a_leading_byte_order_mark():
+    text = "a,3,1\nb,2\n"
+    assert parse_citations_wide(io.StringIO("\ufeff" + text)) == parse_citations_wide(io.StringIO(text))
+
+
+_pads = st.sampled_from(["", " ", "\t", " \t "])
+_cohorts = st.dictionaries(
+    st.text(alphabet='ab ,"\né', min_size=1, max_size=4).map(str.strip).filter(bool),
+    st.lists(st.integers(0, 12) | st.integers(0, 10**9), min_size=1, max_size=5),
+    min_size=1, max_size=5)
+
+
+@given(_cohorts, st.data(), st.sampled_from(["\n", "\r\n"]))
+def test_long_and_wide_renderings_of_one_cohort_parse_to_equal_records(cohort, data, eol):
+    def pad(cell):
+        return data.draw(_pads) + cell + data.draw(_pads)
+
+    long_rows = data.draw(st.permutations([[pad(name), pad(str(count))]
+                                           for name, counts in cohort.items() for count in counts]))
+    wide_rows = [[pad(name)] + [pad(str(count)) for count in counts] for name, counts in cohort.items()]
+    long_text = eol.join(_csv_line(cells, False) for cells in [["researcher", "citations"], *long_rows]) + eol
+    wide_text = eol.join(_csv_line(cells, False) for cells in wide_rows) + eol
+    long = parse_citations_csv(io.StringIO(long_text, newline=""))
+    wide = parse_citations_wide(io.StringIO(wide_text, newline=""))
+    assert sorted(long, key=lambda r: r.researcher_id) == sorted(wide, key=lambda r: r.researcher_id)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +365,7 @@ record_strategy = st.builds(
     lambda name, counts, extra: CitationRecord.from_counts(
         name, counts, total_publications=len(counts) + extra),
     st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
-            min_size=1, max_size=12),
+            min_size=1, max_size=12).map(str.strip).filter(bool),  # the parser strips names
     st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=20),
     st.integers(min_value=0, max_value=5),
 )
@@ -303,6 +389,12 @@ def test_records_to_csv_quotes_line_breaks():
 def test_records_to_csv_rejects_rowless_records():
     with pytest.raises(ValueError, match="no stored counts"):
         records_to_csv([CitationRecord.from_counts("a", [], total_publications=3)])
+
+
+@pytest.mark.parametrize("name", ["", " ", " a", "a\t", "\na"])
+def test_records_to_csv_rejects_names_the_parser_would_change(name):
+    with pytest.raises(ValueError, match="non-empty and unpadded"):
+        records_to_csv([CitationRecord.from_counts(name, [1])])
 
 
 # ---------------------------------------------------------------------------

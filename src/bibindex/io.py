@@ -6,6 +6,7 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .metrics import INDEX_FIELDS, CitationRecord
@@ -15,7 +16,6 @@ DISCIPLINES = ("immunology", "economics", "physics")
 _LONG_HEADERS = (("researcher", "citations"), ("researcher", "citations", "uncited_publications"))
 _MAX_COUNT = 10**9  # T then fits in int64 and converts to float exactly up to about 9M rows
 _PAD = " \t"  # the padding a count may carry
-_BOM = "\ufeff"  # a leading byte-order mark is not data
 
 
 class ParseError(ValueError):
@@ -132,6 +132,14 @@ def _long_row(cells: list[str], width: int, line_no: int) -> tuple[str, int] | N
     return _name(cells[0], line_no), _count(cells[1], line_no)
 
 
+def _reader(stream: Iterable[str]):
+    """A csv reader over a non-empty stream, a leading byte-order mark removed before csv splits it."""
+    lines = iter(stream)
+    if (first := next(lines, None)) is None:
+        raise ParseError("no records: file is empty")
+    return csv.reader(chain((first.removeprefix("\ufeff"),), lines))
+
+
 def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
     """Parse long-format citation data: one publication per row.
 
@@ -141,31 +149,23 @@ def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
     to one researcher may appear anywhere in the file.  Error messages
     name the physical line a bad row ends on.
     """
-    reader = csv.reader(stream)
+    reader = _reader(stream)
     counts: defaultdict[str, list[int]] = defaultdict(list)
     uncited: dict[str, int] = {}
     try:
-        first = next(reader, None)
-        if first is None:
-            raise ParseError("no records: file is empty")
-        if first:
-            first[0] = first[0].removeprefix(_BOM)
-        header = tuple(map(str.strip, first))
+        header = tuple(map(str.strip, next(reader)))
         if header not in _LONG_HEADERS:
             raise ParseError("line 1: expected header 'researcher,citations[,uncited_publications]', "
                              f"got {list(header)}")
         width = len(header)
-        known: dict[str, int] = {}  # count cells the full check accepted, and their values
         for cells in reader:
-            # the shortcut takes a row with a name and a count cell the full check accepted before
-            if not (len(cells) == width and (name := cells[0].strip())
-                    and (count := known.get(cells[1])) is not None):
-                row = _long_row(cells, width, reader.line_num)
-                if row is None:
-                    continue  # blank line
+            if len(cells) == width and (name := cells[0].strip()) and (cell := cells[1]).isdigit() \
+                    and cell.isascii() and len(cell) < 10:
+                count = int(cell)  # the shortcut: only rows the full check accepts, read as it reads them
+            elif (row := _long_row(cells, width, reader.line_num)) is not None:
                 name, count = row
-                if len(known) < 65536:  # bounds the memory a file of many distinct counts takes
-                    known[cells[1]] = count
+            else:
+                continue  # blank line
             counts[name].append(count)
             if width == 3 and cells[2].strip(_PAD):
                 extra = _count(cells[2], reader.line_num)
@@ -187,14 +187,14 @@ def parse_citations_wide(stream: Iterable[str]) -> list[CitationRecord]:
     Blank count cells are skipped.  Error messages name the physical line
     a bad row ends on.
     """
-    reader = csv.reader(stream)
+    reader = _reader(stream)
     records, seen = [], set()
     try:
         for cells in reader:
             if not cells:
                 continue
             line_no = reader.line_num
-            name = _name(cells[0] if records else cells[0].removeprefix(_BOM), line_no)
+            name = _name(cells[0], line_no)
             if name in seen:
                 raise ParseError(f"line {line_no}: duplicate researcher {name!r}")
             seen.add(name)

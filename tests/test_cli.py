@@ -86,6 +86,23 @@ def test_utf8_bom_is_ignored(capsys, tmp_path, text, flags):
     assert outputs[1] == outputs[0]
 
 
+@pytest.mark.parametrize("text,flags", [
+    ('"researcher","citations"\n"Doe, Jane",3\n"Doe, Jane",1\n', []),
+    ('"Doe, Jane",3,1\nbob,2\n', ["--wide"]),
+    ('\n"Doe, Jane",3,1\nbob,2\n', ["--wide"]),
+], ids=["long-quoted", "wide-quoted", "wide-blank-first-line"])
+def test_utf8_bom_before_quoted_cell_or_blank_line(capsys, tmp_path, text, flags):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    outputs = []
+    for path in (plain, bom):
+        status, out, err = run(capsys, "indices", str(path), *flags, "--format", "csv")
+        assert status == 0, err
+        outputs.append(out)
+    assert outputs[1] == outputs[0] and '"Doe, Jane"' in outputs[0]
+
+
 def test_compare_runs(capsys, cohort_file):
     status, out, _ = run(capsys, "compare", cohort_file, "--left", "T,h", "--right", "j,jS")
     assert status == 0

@@ -225,14 +225,6 @@ _LONG = "researcher,citations\n"
 _SIDECAR = "researcher,citations,uncited_publications\n"
 
 
-def test_parse_long_with_many_distinct_counts_matches_row_by_row_reference():
-    # more distinct count cells than the parser's shortcut remembers, half of them padded
-    text = _LONG + "".join(f"r{i % 7},{i}\n" if i % 2 else f"r{i % 7}, {i}\n" for i in range(70_000))
-    assert _outcome(parse_citations_csv, text) == _outcome(_reference_parse_long, text)
-    text += "r0,x\n"
-    assert _outcome(parse_citations_csv, text) == _outcome(_reference_parse_long, text)
-
-
 @pytest.mark.parametrize("text", [
     _SIDECAR + "a,1,2\na,1,0\n",  # conflicting sidecars, either way round
     _SIDECAR + "a,1,0\na,1,2\n",
@@ -268,7 +260,7 @@ def _in_every_position(cell):
 
 
 @pytest.mark.parametrize("cell,value", [
-    ("1000000000", 10**9), (" 7\t", 7), ("0000000005", 5),
+    ("999999999", 999_999_999), ("1000000000", 10**9), (" 7\t", 7), ("0000000005", 5),
     pytest.param("0" * 5000 + "3", 3, id="5000-digits-value-3")])
 def test_counts_within_the_contract_are_read_in_every_position(cell, value):
     long, sidecar, wide = (parser(io.StringIO(text)) for parser, text in _in_every_position(cell))
@@ -279,7 +271,7 @@ def test_counts_within_the_contract_are_read_in_every_position(cell, value):
 
 @pytest.mark.parametrize("cell", [
     "1000000001", pytest.param("9" * 401, id="401-digits"), pytest.param("9" * 5000, id="5000-digits"),
-    "1_000", "+2", "-0", "-1", "٥", "\xa05", "\x1c7", "7\x1f", "1e3", "True"])
+    "1_000", "+2", "-0", "-1", "٥", "²", "\xa05", "\x1c7", "7\x1f", "1e3", "True"])
 def test_counts_outside_the_contract_are_rejected_in_every_position(cell):
     for parser, text in _in_every_position(cell):
         with pytest.raises(ParseError, match="^line 2: citations must be an integer from 0 to 1000000000, got"):
@@ -301,14 +293,15 @@ def test_oversized_field_is_a_parse_error_naming_its_line():
         parse_citations_wide(io.StringIO(f"a,1\n{name},1\n"))
 
 
-def test_long_parser_skips_a_leading_byte_order_mark():
-    text = _SIDECAR + "a,3,1\nb,2,\n"
-    assert parse("\ufeff" + text) == parse(text)
-
-
-def test_wide_parser_skips_a_leading_byte_order_mark():
-    text = "a,3,1\nb,2\n"
-    assert parse_citations_wide(io.StringIO("\ufeff" + text)) == parse_citations_wide(io.StringIO(text))
+@pytest.mark.parametrize("parser,text", [
+    (parse_citations_csv, _SIDECAR + "a,3,1\nb,2,\n"),
+    (parse_citations_wide, "a,3,1\nb,2\n"),
+    (parse_citations_csv, '"researcher","citations"\n"Doe, Jane",3\n'),
+    (parse_citations_wide, '"Doe, Jane",3,1\nb,2\n'),
+    (parse_citations_wide, '\n"Doe, Jane",3,1\n'),
+], ids=["long", "wide", "long-quoted", "wide-quoted", "wide-blank-first-line"])
+def test_parsers_skip_a_leading_byte_order_mark(parser, text):
+    assert parser(io.StringIO("\ufeff" + text, newline="")) == parser(io.StringIO(text, newline=""))
 
 
 _pads = st.sampled_from(["", " ", "\t", " \t "])

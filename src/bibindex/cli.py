@@ -51,8 +51,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="association matrix between index rankings")
     add_common(p)
-    p.add_argument("--left", default="T,h,g", help="comma-separated index names")
-    p.add_argument("--right", default="j,jS", help="comma-separated index names")
+    p.add_argument("--left", type=_index_list, default="T,h,g", help="comma-separated index names")
+    p.add_argument("--right", type=_index_list, default="j,jS", help="comma-separated index names")
 
     p = sub.add_parser("hcore", help="h-core partitions plus cohort aggregate")
     add_common(p)
@@ -60,7 +60,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("manipulate", help="rank stability under record manipulation")
     add_common(p)
     p.add_argument("--mode", choices=sorted(_MODES), required=True)
-    p.add_argument("--index", default="j", help="index to rank by (default: j)")
+    p.add_argument("--index", choices=INDEX_NAMES, default="j", help="index to rank by (default: j)")
 
     p = sub.add_parser("reproduce", help="recompute a reference table from bundled data")
     add_common(p, with_file=False)
@@ -69,19 +69,27 @@ def build_parser() -> _Parser:
 
 
 def _load_records(args):
-    with open(args.file, newline="", encoding="utf-8") as stream:
-        if args.wide:
-            return parse_citations_wide(stream)
-        return parse_citations_csv(stream)
+    try:
+        with open(args.file, newline="", encoding="utf-8") as stream:
+            if args.wide:
+                return parse_citations_wide(stream)
+            return parse_citations_csv(stream)
+    except UnicodeDecodeError:  # its position is an offset into one decoded chunk: find the byte again
+        with open(args.file, "rb") as stream:
+            data = stream.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            head = data[:err.start]  # lines end at \n, \r\n or \r, as the parsers count them
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(f"line {line}: not valid UTF-8 (byte 0x{data[err.start]:02x})") from None
+        raise
 
 
-def _parse_index_list(text: str) -> list[str]:
-    names = [name.strip() for name in text.split(",") if name.strip()]
-    if not names:
-        raise UsageError("expected at least one index name")
-    for name in names:
-        if name not in INDEX_NAMES:
-            raise UsageError(f"unknown index name: {name!r} (expected one of {', '.join(INDEX_NAMES)})")
+def _index_list(text: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    if not names or not set(names) <= set(INDEX_NAMES):
+        raise argparse.ArgumentTypeError(f"expected index names from {', '.join(INDEX_NAMES)}, got {text!r}")
     return names
 
 
@@ -92,16 +100,14 @@ def _run(args) -> str:
         return emit_report(ProfileReport(rows), args.format)
 
     if args.command == "compare":
-        left = _parse_index_list(args.left)
-        right = _parse_index_list(args.right)
         records = _load_records(args)
         profiles = [index_profile(r) for r in records]
         ids = [r.researcher_id for r in records]
-        reports = association_matrix(profiles, left, right, ids=ids)
+        reports = association_matrix(profiles, args.left, args.right, ids=ids)
         table = AssociationTable(
             table_id="compare",
-            caption=f"Rank associations: {', '.join(left)} versus {', '.join(right)}",
-            row_indices=tuple(left), col_indices=tuple(right),
+            caption=f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}",
+            row_indices=args.left, col_indices=args.right,
             reports=tuple(reports))
         return emit_report(table, args.format)
 
@@ -112,8 +118,6 @@ def _run(args) -> str:
         return emit_report(PartitionReport(rows, aggregate), args.format)
 
     if args.command == "manipulate":
-        if args.index not in INDEX_NAMES:
-            raise UsageError(f"unknown index name: {args.index!r}")
         records = _load_records(args)
         report = manipulation_report(records, _MODES[args.mode], args.index)
         return emit_report(report, args.format)

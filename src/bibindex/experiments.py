@@ -11,7 +11,6 @@ from .io import CohortDataset, load_bundled_dataset
 from .metrics import (
     CitationRecord,
     HCorePartition,
-    INDEX_FIELDS,
     h_core_partition,
     index_profile,
 )
@@ -138,8 +137,6 @@ def apply_manipulation(record: CitationRecord, mode: ManipulationMode | str) -> 
 
 
 def _cohort_ranking(cohort: Sequence[CitationRecord], index_name: str) -> tuple[Ranking, tuple[float, ...]]:
-    if index_name not in INDEX_FIELDS:
-        raise ValueError(f"unknown index name: {index_name!r}")
     ids = tuple(r.researcher_id for r in cohort)
     values = tuple(index_profile(r).value(index_name) for r in cohort)
     return rank_descending(values, index_name=index_name, ids=ids), values

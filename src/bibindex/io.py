@@ -9,12 +9,11 @@ from importlib import resources
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .metrics import INDEX_FIELDS, CitationRecord
+from .metrics import INDEX_FIELDS, MAX_COUNT, CitationRecord
 
 DISCIPLINES = ("immunology", "economics", "physics")
 
 _LONG_HEADERS = (("researcher", "citations"), ("researcher", "citations", "uncited_publications"))
-_MAX_COUNT = 10**9  # T then fits in int64 and converts to float exactly up to about 9M rows
 _PAD = " \t"  # the padding a count may carry
 
 
@@ -115,9 +114,9 @@ def _count(cell: str, line_no: int) -> int:
     digits = cell.strip(_PAD)
     significant = digits.lstrip("0")  # int() refuses strings of over 4300 digits, zeros too
     if digits.isdigit() and digits.isascii() and len(significant) <= 10 \
-            and (value := int(significant or 0)) <= _MAX_COUNT:
+            and (value := int(significant or 0)) <= MAX_COUNT:
         return value
-    raise ParseError(f"line {line_no}: citations must be an integer from 0 to {_MAX_COUNT}, got {cell!r}")
+    raise ParseError(f"line {line_no}: citations must be an integer from 0 to {MAX_COUNT}, got {cell!r}")
 
 
 def _long_row(cells: list[str], width: int, line_no: int) -> tuple[str, int] | None:
@@ -211,13 +210,10 @@ def records_to_csv(records: Sequence[CitationRecord]) -> str:
     """Serialize records to the long CSV format accepted by the parser.
 
     Each record needs at least one stored count, because a researcher
-    without any rows cannot be expressed in long format, and a name that
-    the parser reads back unchanged.
+    without any rows cannot be expressed in long format.
     """
     lines = [",".join(_LONG_HEADERS[1])]
     for record in records:
-        if not record.researcher_id or record.researcher_id != record.researcher_id.strip():
-            raise ValueError(f"{record.researcher_id!r}: a name must be non-empty and unpadded to read back")
         if not record.counts:
             raise ValueError(f"{record.researcher_id!r} has no stored counts; "
                              "long format needs at least one row per researcher")

@@ -20,14 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+MAX_COUNT = 10**9  # T then fits in int64 and converts to float exactly up to about 9M counts
+
 
 @dataclass(frozen=True)
 class CitationRecord:
     """One researcher's citation counts, sorted in descending order.
 
-    ``counts`` may include explicit zeros for uncited publications;
-    ``total_publications`` additionally covers uncited papers that were
-    never stored, so it is always >= len(counts).
+    Holds exactly what the CSV formats carry, else raises ValueError: a non-empty,
+    unpadded str ``researcher_id``; int counts (never bool) from 0 to ``MAX_COUNT``,
+    non-increasing, zeros for uncited papers; an int ``total_publications`` (never
+    bool) from ``len(counts)`` to ``len(counts) + MAX_COUNT``, for papers not stored.
     """
 
     researcher_id: str
@@ -35,19 +38,28 @@ class CitationRecord:
     total_publications: int
 
     def __post_init__(self):
+        name, raw = self.researcher_id, tuple(self.counts)
+        if not isinstance(name, str) or not name or name != name.strip():
+            raise ValueError(f"researcher names must be non-empty and unpadded strings, got {name!r}")
         try:
-            counts = tuple(map(operator.index, self.counts))
+            counts = tuple(map(operator.index, raw))
             total = operator.index(self.total_publications)
         except TypeError:
             raise ValueError("citation counts and totals must be integers") from None
+        if bool in map(type, raw) or isinstance(self.total_publications, bool):  # index() reads True as 1
+            raise ValueError("citation counts and totals must be integers, not bool")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_publications", total)
-        if min(counts, default=0) < 0:
-            raise ValueError("citation counts must be non-negative")
         if not all(map(operator.ge, counts, counts[1:])):
             raise ValueError("counts must be non-increasing")
+        if counts and counts[-1] < 0:
+            raise ValueError("citation counts must be non-negative")
+        if counts and counts[0] > MAX_COUNT:
+            raise ValueError(f"citation counts must be at most {MAX_COUNT}")
         if total < len(counts):
             raise ValueError("total_publications cannot be smaller than the stored counts")
+        if total > len(counts) + MAX_COUNT:
+            raise ValueError(f"total_publications cannot exceed the stored counts by more than {MAX_COUNT}")
 
     @classmethod
     def from_counts(cls, researcher_id: str, counts: Iterable[int],

@@ -116,6 +116,13 @@ def test_compare_index_typo_is_usage_error(capsys, cohort_file):
     assert out == ""
 
 
+def test_manipulate_unknown_index_is_usage_error(capsys, cohort_file):
+    status, out, err = run(capsys, "manipulate", cohort_file, "--mode", "decrement", "--index", "zap")
+    assert status == 1
+    assert "usage" in err.lower() and "invalid choice: 'zap'" in err
+    assert out == ""
+
+
 def test_unknown_flag_is_usage_error(capsys, cohort_file):
     status, _, err = run(capsys, "indices", cohort_file, "--bogus")
     assert status == 1
@@ -147,6 +154,19 @@ def test_oversized_field_is_data_error(capsys, tmp_path):
     status, out, err = run(capsys, "indices", str(path))
     assert status == 2
     assert err.startswith("error: line 2: field larger than field limit")
+    assert out == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--wide"]])
+@pytest.mark.parametrize("line", [3, 2500])  # 2500 short lines put the byte past the first 8 KiB
+def test_non_utf8_byte_is_data_error_naming_its_line(capsys, tmp_path, flags, line):
+    rows = ["researcher,citations" if i == 0 and not flags else f"r{i},1" for i in range(line - 1)]
+    ends = ("\n", "\r\n", "\r")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("".join(row + ends[i % 3] for i, row in enumerate(rows)).encode() + b"M\xfcller,2\n")
+    status, out, err = run(capsys, "indices", str(path), *flags)
+    assert status == 2
+    assert err == f"error: line {line}: not valid UTF-8 (byte 0xfc)\n"
     assert out == ""
 
 

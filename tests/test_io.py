@@ -359,8 +359,8 @@ record_strategy = st.builds(
         name, counts, total_publications=len(counts) + extra),
     st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
             min_size=1, max_size=12).map(str.strip).filter(bool),  # the parser strips names
-    st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=20),
-    st.integers(min_value=0, max_value=5),
+    st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=20),
+    st.integers(min_value=0, max_value=10**9),
 )
 
 

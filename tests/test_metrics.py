@@ -341,11 +341,32 @@ def test_record_validation():
     ((-1,), "citation counts must be non-negative"),
     ((1, 2), "counts must be non-increasing"),
     ((5, 3, 3, 4), "counts must be non-increasing"),
+    ((10**9 + 1,), "citation counts must be at most 1000000000"),
+    ((10**400,), "citation counts must be at most 1000000000"),
+    ((True, 1), "citation counts and totals must be integers, not bool"),
 ])
 def test_record_rejects_bad_counts_with_messages(counts, message):
     with pytest.raises(ValueError) as err:
         CitationRecord("x", counts, 4)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, counts, total, message", [
+    ("a", (5,), 1 + 10**9 + 1, "total_publications cannot exceed the stored counts by more than 1000000000"),
+    ("a", (1,), True, "citation counts and totals must be integers, not bool"),
+    (" a", (1,), 1, "researcher names must be non-empty and unpadded strings, got ' a'"),
+    ("", (1,), 1, "researcher names must be non-empty and unpadded strings, got ''"),
+    (5, (1,), 1, "researcher names must be non-empty and unpadded strings, got 5"),
+])
+def test_record_rejects_what_csv_cannot_carry(name, counts, total, message):
+    with pytest.raises(ValueError) as err:
+        CitationRecord(name, counts, total)
+    assert str(err.value) == message
+
+
+def test_record_accepts_the_largest_count_and_total():
+    record = CitationRecord.from_counts("a", [10**9, 0], total_publications=2 + 10**9)
+    assert index_profile(record).total_citations == 10**9
 
 
 def test_record_accepts_empty_counts():

@@ -7,16 +7,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
+from . import _columns
 from .experiments import (
     AssociationTable,
     ManipulationMode,
+    _manipulation_report,
     discipline_aggregate,
-    manipulation_report,
     reproduce_table,
 )
 from .io import ParseError, parse_citations_csv, parse_citations_wide
-from .metrics import INDEX_NAMES, h_core_partition, index_profile
+from .metrics import INDEX_NAMES
 from .ranking import association_matrix
 from .reports import FORMATS, PartitionReport, ProfileReport, emit_report
 
@@ -30,7 +32,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
-        raise UsageError(message)
+        raise UsageError(f"{self.format_usage()}error: {message}")  # a subcommand's own usage
 
 
 def build_parser() -> _Parser:
@@ -94,16 +96,18 @@ def _index_list(text: str) -> tuple[str, ...]:
 
 
 def _run(args) -> str:
+    if args.command == "reproduce":
+        return emit_report(reproduce_table(args.table), args.format)
+
+    # a long file's bytes become columns unless the reader declines; the parsers read the rest
+    columns = None if args.wide else _columns.read_long(Path(args.file).read_bytes())
+    columns = columns or _columns.from_records(_load_records(args))
     if args.command == "indices":
-        records = _load_records(args)
-        rows = tuple((r.researcher_id, index_profile(r)) for r in records)
+        rows = tuple(zip(columns.names, _columns.profiles(columns)))
         return emit_report(ProfileReport(rows), args.format)
 
     if args.command == "compare":
-        records = _load_records(args)
-        profiles = [index_profile(r) for r in records]
-        ids = [r.researcher_id for r in records]
-        reports = association_matrix(profiles, args.left, args.right, ids=ids)
+        reports = association_matrix(_columns.profiles(columns), args.left, args.right, ids=columns.names)
         table = AssociationTable(
             table_id="compare",
             caption=f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}",
@@ -112,18 +116,15 @@ def _run(args) -> str:
         return emit_report(table, args.format)
 
     if args.command == "hcore":
-        records = _load_records(args)
-        rows = tuple((r.researcher_id, h_core_partition(r)) for r in records)
+        rows = tuple(zip(columns.names, _columns.partitions(columns)))
         aggregate = discipline_aggregate(part for _, part in rows)
         return emit_report(PartitionReport(rows, aggregate), args.format)
 
-    if args.command == "manipulate":
-        records = _load_records(args)
-        report = manipulation_report(records, _MODES[args.mode], args.index)
-        return emit_report(report, args.format)
-
-    # reproduce
-    return emit_report(reproduce_table(args.table), args.format)
+    # manipulate
+    mode = _MODES[args.mode]
+    before, after = (tuple(profile.value(args.index) for profile in _columns.profiles(cohort))
+                     for cohort in (columns, _columns.manipulated(columns, mode)))
+    return emit_report(_manipulation_report(columns.names, mode, args.index, before, after), args.format)
 
 
 def cli_dispatch(argv) -> int:
@@ -133,8 +134,7 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(list(argv))
         output = _run(args)
     except UsageError as err:
-        sys.stderr.write(parser.format_usage())
-        sys.stderr.write(f"error: {err}\n")
+        sys.stderr.write(f"{err}\n")
         return 1
     except SystemExit as exc:  # argparse --help
         code = exc.code

@@ -136,10 +136,9 @@ def apply_manipulation(record: CitationRecord, mode: ManipulationMode | str) -> 
     return CitationRecord(record.researcher_id, kept, record.total_publications)
 
 
-def _cohort_ranking(cohort: Sequence[CitationRecord], index_name: str) -> tuple[Ranking, tuple[float, ...]]:
-    ids = tuple(r.researcher_id for r in cohort)
+def _cohort_ranking(cohort: Sequence[CitationRecord], index_name: str) -> Ranking:
     values = tuple(index_profile(r).value(index_name) for r in cohort)
-    return rank_descending(values, index_name=index_name, ids=ids), values
+    return rank_descending(values, index_name=index_name, ids=tuple(r.researcher_id for r in cohort))
 
 
 def _diff_rankings(before: Ranking, after: Ranking, index_name: str) -> RankChangeReport:
@@ -176,8 +175,8 @@ def rank_change_report(cohort_before: Sequence[CitationRecord],
     ids_after = tuple(r.researcher_id for r in cohort_after)
     if ids_before != ids_after:
         raise ValueError("rosters differ between the two cohorts")
-    before, _ = _cohort_ranking(cohort_before, index_name)
-    after, _ = _cohort_ranking(cohort_after, index_name)
+    before = _cohort_ranking(cohort_before, index_name)
+    after = _cohort_ranking(cohort_after, index_name)
     return _diff_rankings(before, after, index_name)
 
 
@@ -187,14 +186,21 @@ def manipulation_report(cohort: Sequence[CitationRecord],
     """Apply a transform to a whole cohort and report the ranking effect."""
     mode = ManipulationMode(mode)
     transformed = [apply_manipulation(r, mode) for r in cohort]
-    before, before_values = _cohort_ranking(cohort, index_name)
-    after, after_values = _cohort_ranking(transformed, index_name)
+    before, after = ([index_profile(r).value(index_name) for r in c] for c in (cohort, transformed))
+    return _manipulation_report(tuple(r.researcher_id for r in cohort), mode, index_name, before, after)
+
+
+def _manipulation_report(ids: Sequence[str], mode: ManipulationMode, index_name: str,
+                         before_values: Sequence[float], after_values: Sequence[float]) -> ManipulationReport:
+    """Rank a cohort's index values before and after a transform, and diff the rankings."""
+    before = rank_descending(before_values, index_name=index_name, ids=ids)
+    after = rank_descending(after_values, index_name=index_name, ids=ids)
     return ManipulationReport(
         index_name=index_name,
         mode=mode,
         ids=before.ids,
-        before_values=before_values,
-        after_values=after_values,
+        before_values=tuple(before_values),
+        after_values=tuple(after_values),
         before_ranks=before.ranks,
         after_ranks=after.ranks,
         change=_diff_rankings(before, after, index_name),

@@ -165,9 +165,7 @@ def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int
     return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)
 
 
-def index_profile(record: CitationRecord) -> IndexProfile:
-    """All seven indicators for one record, computed consistently."""
-    total, h, core, g, j, js = _kernel(record.counts)
+def _profile(total: int, h: int, core: int, g: int, j: float, js: float) -> IndexProfile:
     return IndexProfile(
         total_citations=total,
         h=h,
@@ -179,9 +177,12 @@ def index_profile(record: CitationRecord) -> IndexProfile:
     )
 
 
-def h_core_partition(record: CitationRecord) -> HCorePartition:
-    """Citation split inside/outside the h-core, with proportions of T."""
-    total, h, h1, *_ = _kernel(record.counts, roots=False)
+def index_profile(record: CitationRecord) -> IndexProfile:
+    """All seven indicators for one record, computed consistently."""
+    return _profile(*_kernel(record.counts))
+
+
+def _partition(total: int, h: int, h1: int) -> HCorePartition:
     if total == 0:
         raise ValueError("no citations: partition proportions are undefined")
     h2 = h * h
@@ -191,6 +192,11 @@ def h_core_partition(record: CitationRecord) -> HCorePartition:
         h1=h1, h2=h2, h3=h3, h4=h4,
         g1=h1 / total, g2=h2 / total, g3=h3 / total, g4=h4 / total,
     )
+
+
+def h_core_partition(record: CitationRecord) -> HCorePartition:
+    """Citation split inside/outside the h-core, with proportions of T."""
+    return _partition(*_kernel(record.counts, roots=False)[:3])
 
 
 def total_citations(record: CitationRecord) -> int:

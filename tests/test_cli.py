@@ -123,6 +123,14 @@ def test_manipulate_unknown_index_is_usage_error(capsys, cohort_file):
     assert out == ""
 
 
+def test_usage_error_shows_the_usage_of_the_failing_subcommand(capsys, cohort_file):
+    status, out, err = run(capsys, "manipulate", cohort_file, "--mode", "decrement", "--index", "zap")
+    assert status == 1
+    assert err.startswith("usage: bibindex manipulate")
+    assert "--index" in err.partition("error:")[0]
+    assert out == ""
+
+
 def test_unknown_flag_is_usage_error(capsys, cohort_file):
     status, _, err = run(capsys, "indices", cohort_file, "--bogus")
     assert status == 1

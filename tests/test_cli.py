@@ -3,9 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bibindex
+from bibindex import cli
 from bibindex.cli import cli_dispatch
 
 ALPHA_BETA = "researcher,citations\n" + "alpha,100\n" + "\n".join(["beta,10"] * 10) + "\n"
@@ -178,6 +184,23 @@ def test_non_utf8_byte_is_data_error_naming_its_line(capsys, tmp_path, flags, li
     assert out == ""
 
 
+@pytest.mark.parametrize("flags,data,message", [
+    ([], b"researcher,citations\na,x\nM\xfcller,2\n", "line 2: citations must be an integer"),
+    (["--wide"], b"a,1\nb,x\nM\xfcller,2\n", "line 2: citations must be an integer"),
+    ([], b"researcher,citations\r\na,1\r\n\"M\r\n\xfcller\",x\r\n", "line 4: not valid UTF-8 (byte 0xfc)"),
+    (["--wide"], b"a,1\rb,1\r\"M\n\xfcller\",x\n", "line 4: not valid UTF-8 (byte 0xfc)"),
+    ([], b"researcher,cit\xfcations\na,x\n", "line 1: not valid UTF-8 (byte 0xfc)"),
+    (["--wide"], b"M\xfcller,x\n", "line 1: not valid UTF-8 (byte 0xfc)"),
+], ids=["long", "wide", "long-quoted-name", "wide-quoted-name", "long-header", "wide-first-row"])
+def test_the_first_error_in_file_order_wins_over_bad_utf8(capsys, tmp_path, flags, data, message):
+    # the bad byte sits in the first block the text reader decodes, ahead of the parser
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    status, out, err = run(capsys, "indices", str(path), *flags)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("command", ["indices", "compare", "hcore"])
 def test_huge_count_is_data_error(capsys, tmp_path, command):
     path = tmp_path / "huge.csv"
@@ -278,3 +301,30 @@ def test_indices_csv_quotes_carriage_return_in_name(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert [row[0] for row in rows] == ["researcher", "a\rb", "c"]
     assert {len(row) for row in rows} == {8}
+
+
+def _numpy_imported_after(*runs):
+    """Whether a fresh interpreter holds numpy after importing bibindex and dispatching each argv."""
+    code = ("import contextlib, io, json, sys, bibindex, bibindex.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert bibindex.cli.cli_dispatch(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)")
+    src = str(Path(bibindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return {"True": True, "False": False}[done.stdout.strip()]
+
+
+def test_numpy_is_imported_only_for_a_large_file(tmp_path):
+    golden = str(Path(__file__).parent / "data" / "golden_cohort.csv")
+    small = [*(["reproduce", "--table", str(n)] for n in range(1, 6)),
+             *([command, golden] for command in ("indices", "compare", "hcore")),
+             *(["manipulate", golden, "--mode", mode] for mode in ("drop-singletons", "decrement"))]
+    assert not _numpy_imported_after(*small)
+    rows = (f"r{i % 500},{i % 9 + 1}\n" for i in range(cli._COLUMNS_FROM // 4))  # 5 bytes or more each
+    large = tmp_path / "large.csv"
+    large.write_text("researcher,citations\n" + "".join(rows), encoding="utf-8")
+    assert large.stat().st_size >= cli._COLUMNS_FROM
+    assert _numpy_imported_after(["hcore", str(large)])

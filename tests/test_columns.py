@@ -239,6 +239,7 @@ def test_cli_prints_the_same_on_the_reader_and_on_the_parsers(capsys, monkeypatc
     outputs = [_run(capsys, [command[0], str(renderings[name]), *command[1:], *flags, "--format", fmt])
                for name, flags in (("crlf", []), ("wide", ["--wide"]))]
     with monkeypatch.context() as patch:
+        patch.setattr(cli, "_COLUMNS_FROM", 0)
         patch.setattr(cli, "_load_records", None)  # the LF file must not reach the parsers
         outputs.append(_run(capsys, [command[0], str(renderings["lf"]), *command[1:], "--format", fmt]))
     assert outputs[0] == outputs[1] == outputs[2]
@@ -251,6 +252,7 @@ def test_a_perfbench_shaped_file_takes_the_reader(capsys, monkeypatch, tmp_path)
     lines = ["researcher,citations"] + [f"r{i:04d},{c}" for i, row in enumerate(counts.tolist()) for c in row]
     path = tmp_path / "cohort.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_COLUMNS_FROM", 0)
     monkeypatch.setattr(cli, "_load_records", None)  # the parsers are not reached
     assert _run(capsys, ["indices", str(path)]).count("\n") == 51
     assert _records(_columns.read_long(path.read_bytes())) == _as_tuples(_parse(path.read_bytes()))

@@ -24,6 +24,7 @@ from bibindex import (
     index_profile,
     reproduce_table,
 )
+from bibindex import cli, ranking
 from bibindex.cli import cli_dispatch
 from bibindex.reports import FORMATS
 
@@ -78,6 +79,15 @@ CASES = [(case, fmt) for case in [*CLI_CASES, *library_reports()] for fmt in FOR
 def test_golden_output(case, fmt):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
     assert render(case, fmt).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("threshold", [0, 10**12], ids=["arrays", "plain"])
+@pytest.mark.parametrize("case,fmt", [(case, fmt) for case in CLI_CASES for fmt in FORMATS])
+def test_golden_cli_output_on_both_paths(monkeypatch, case, fmt, threshold):
+    # numpy columns and rankings for every input, then records and plain-Python rankings
+    monkeypatch.setattr(cli, "_COLUMNS_FROM", threshold)
+    monkeypatch.setattr(ranking, "_NUMPY_FROM", threshold)
+    assert render(case, fmt).encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
 if __name__ == "__main__":

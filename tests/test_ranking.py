@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from bibindex import (
     spearman_rho,
     CitationRecord,
 )
-from bibindex.ranking import _average_ranks, _two_tailed_t, association_grid
+from bibindex import ranking as ranking_module
+from bibindex.ranking import _average_ranks, _py_average_ranks, _two_tailed_t, association_grid
 
 
 def ranking(ranks, name="x"):
@@ -367,3 +369,75 @@ def test_immunology_j_vs_js_measures_match_published_values():
     assert report.footrule == pytest.approx(0.930, abs=0.03)
     assert report.m_measure == pytest.approx(0.962, abs=0.03)
     assert report.significance is Significance.SIG_01
+
+
+# ---------------------------------------------------------------------------
+# the plain-Python and numpy paths
+
+
+def _on_both_paths(work):
+    """``work()`` with every ranking in plain Python, then with every ranking in numpy."""
+    outcomes = []
+    for threshold in (10**9, 1):
+        with mock.patch.object(ranking_module, "_NUMPY_FROM", threshold):
+            try:
+                outcomes.append(work())
+            except ValueError as err:
+                outcomes.append(("error", str(err)))
+    return outcomes
+
+
+tied_values = st.integers(min_value=2, max_value=40).flatmap(lambda n: st.tuples(*[
+    st.lists(st.integers(min_value=0, max_value=3).map(float), min_size=n, max_size=n)] * 3))
+
+
+@given(tied_values)
+def test_both_paths_rank_and_measure_alike(columns):
+    values, h, t = columns
+
+    def rank_and_measure():
+        fractional = rank_descending(values, index_name="v")
+        untied = rank_untied(values, h, t, index_name="u")
+        other = rank_descending(h, index_name="h")
+        pairs = [(fractional, other), (untied, other), (fractional, untied)]
+        return (fractional.ranks, untied.ranks, [(spearman_rho(*p), footrule(*p)) for p in pairs],
+                [m_measure(*p) for p in pairs])
+
+    plain, arrays = _on_both_paths(rank_and_measure)
+    assert plain[:3] == arrays[:3]
+    assert plain[3] == pytest.approx(arrays[3], rel=0, abs=1e-12)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=4) | st.floats(-1e3, 1e3), min_size=1, max_size=60))
+def test_plain_average_ranks_equal_the_numpy_ones(values):
+    assert _py_average_ranks(values) == _average_ranks(values).tolist()
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.lists(
+    st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 3.0, n / 2, n + 0.5, 1 + 1e-10, 1 + 1e-8,
+                     math.nan, math.inf, -math.inf]), min_size=n, max_size=n)))
+def test_both_paths_reject_the_same_rankings(ranks):
+    plain, arrays = _on_both_paths(lambda: ranking(ranks).ranks)
+    assert plain == arrays
+
+
+@pytest.mark.parametrize("ranks", [[1.0, math.nan], [math.nan, math.nan], [1.0, math.inf], [-math.inf, 2.0],
+                                   [1.0, 1.0], [1.5, 1.5 + 2e-9]])
+def test_both_paths_reject_non_finite_and_unfixed_ranks(ranks):
+    assert _on_both_paths(lambda: ranking(ranks)) == [("error", "ranks are not a valid fractional "
+                                                                "(average-tie) ranking")] * 2
+
+
+@pytest.mark.parametrize("work,message", [
+    (lambda: rank_untied([1, 2], [1], [1, 2]), "values, h and t must have the same shape"),
+    (lambda: rank_untied([1, 2], [1, 2], [1, 2, 3]), "values, h and t must have the same shape"),
+    (lambda: rank_descending([]), "values must be a non-empty one-dimensional sequence"),
+    (lambda: rank_descending([[1, 2], [3, 4]]), "values must be a non-empty one-dimensional sequence"),
+    (lambda: rank_descending(5.0), "values must be a non-empty one-dimensional sequence"),
+    (lambda: rank_untied([1, math.nan], [1, 1], [1, 1]), "values contain NaN"),
+    (lambda: association_matrix([index_profile(CitationRecord.from_counts("a", [3, 2])),
+                                 index_profile(CitationRecord.from_counts("b", [0]))], ["A"], ["T"]),
+     "A is undefined for records with h = 0"),
+])
+def test_both_paths_raise_the_same_errors(work, message):
+    assert _on_both_paths(work) == [("error", message)] * 2

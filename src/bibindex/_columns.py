@@ -1,6 +1,14 @@
 """The CLI's columnar cohort: every researcher's descending counts in one flat array,
-from a long file's bytes or the parsers' records, and the library's per-record
-functions over it, equal bit for bit and computed in blocks."""
+from a long file's bytes or the parsers' records, and ``metrics._kernel`` over it,
+equal bit for bit and computed in blocks.
+
+j and jS are exact segment sums.  Each term t lies in [1, 2**15): a root of a count from 1
+to MAX_COUNT < 2**30, or of a cited prefix mean, which is at least 1.  Split t into
+high = floor(t * 2**20) / 2**20 and low = t - high, both exact.  Highs are multiples of
+2**-20 below 2**15, so while a researcher has fewer than 2**18 terms every partial sum of
+them is a multiple of 2**-20 below 2**33: 53 bits, exact.  Lows are multiples of 2**-52
+(as t >= 1) below 2**-20, so their partial sums, below 2**-2, are exact too.  One float add
+of the two sums is then the correctly rounded sum of the terms: what math.fsum returns."""
 
 from __future__ import annotations
 
@@ -14,13 +22,15 @@ import numpy as np
 
 from .experiments import ManipulationMode
 from .io import _LONG_HEADERS
-from .metrics import MAX_COUNT, CitationRecord, HCorePartition, IndexProfile, _kernel, _partition, _profile
+from .metrics import MAX_COUNT, CitationRecord, _kernel
 
 _BLOCK_BYTES = 1 << 20   # file bytes read per block
 _BLOCK_COUNTS = 1 << 16  # counts per block of researchers in the kernel
 _SHIFT = 31              # sort key: researcher code << _SHIFT | (MAX_COUNT - count)
 _EXACT = 2**53           # running totals below this convert to float exactly
 _SAME_BYTES = 32         # longer names are decoded on every row
+_SPLIT = 2.0**20         # j and jS terms split at this scale (module docstring)
+_TERMS = 1 << 18         # ... and sum exactly below this many terms per researcher
 
 
 class Columns(NamedTuple):
@@ -30,11 +40,11 @@ class Columns(NamedTuple):
     totals: np.ndarray   # int64 total_publications
 
 
-def _per(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _per(values: np.ndarray, offsets: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Sum of ``values`` per researcher; empty researchers sum to 0."""
-    sums = np.zeros(offsets.size - 1, np.int64)
+    sums = np.zeros(offsets.size - 1, dtype)
     filled = offsets[1:] > offsets[:-1]  # reduceat reads an empty segment as one value
-    sums[filled] = np.add.reduceat(values, offsets[:-1][filled], dtype=np.int64)
+    sums[filled] = np.add.reduceat(values, offsets[:-1][filled], dtype=dtype)
     return sums
 
 
@@ -139,46 +149,58 @@ def manipulated(columns: Columns, mode: ManipulationMode) -> Columns:
     keep = counts != 1 if drop else counts >= 2
     kept = _per(keep, offsets)
     totals = columns.totals - (np.diff(offsets) - kept) if drop else columns.totals
+    if (totals - kept > MAX_COUNT).any():  # a decrement keeps the total: CitationRecord refuses it
+        raise ValueError(f"total_publications cannot exceed the stored counts by more than {MAX_COUNT}")
     counts = counts[keep]
     counts -= 0 if drop else 1
     return Columns(columns.names, counts, np.concatenate(([0], np.cumsum(kept))), totals)
 
 
-def _rows(columns: Columns, roots: bool = True):
-    """``metrics._kernel`` for every researcher, in blocks of about ``_BLOCK_COUNTS`` counts.
-    h and g are prefix lengths, as ``c >= rank`` and ``running total >= rank**2`` each hold
-    on a prefix of descending counts; j and jS are exactly rounded ``math.fsum`` sums."""
-    bounds, fsum, isqrt, lo, n = columns.offsets, math.fsum, math.isqrt, 0, len(columns.names)
+def kernel(columns: Columns, roots: bool | str = True) -> list[np.ndarray]:
+    """``metrics._kernel`` of every researcher as arrays T, h, core, g, j, jS (j, jS zeros without ``roots``;
+    with ``roots="j"``, j alone), in blocks of about ``_BLOCK_COUNTS`` counts.  h and g are prefix lengths:
+    ``c >= rank`` and ``running total >= rank**2`` each hold on a prefix of descending counts."""
+    bounds, lo, n, blocks = columns.offsets, 0, len(columns.names), []
     while lo < n:
         hi = min(n, max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _BLOCK_COUNTS, "right")) - 1))
         counts, offsets = columns.counts[bounds[lo]:bounds[hi]], bounds[lo:hi + 1] - bounds[lo]
-        lo, lengths = hi, np.diff(offsets)
-        first = np.repeat(offsets[:-1], lengths)
-        rank = np.arange(1, counts.size + 1) - first
-        run = np.concatenate(([0], np.cumsum(counts)))
-        if run[-1] >= _EXACT:  # cum / rank below would round the running total
-            yield from (_kernel(counts[a:b].tolist(), roots=roots) for a, b in zip(offsets[:-1], offsets[1:]))
-            continue
-        cum = run[1:] - run[first]
-        total = run[offsets[1:]] - run[offsets[:-1]]
-        h = _per(counts >= rank, offsets)
-        core = run[offsets[:-1] + h] - run[offsets[:-1]]
-        g = _per(cum >= rank * rank, offsets)
-        cited = (counts > 0) & roots
-        j_terms, js_terms = np.sqrt(counts[cited]).tolist(), np.sqrt(cum[cited] / rank[cited]).tolist()
-        a = 0
-        for t, n_, h_, core_, g_, b in zip(total.tolist(), lengths.tolist(), h.tolist(), core.tolist(), g.tolist(),
-                                           np.cumsum(_per(cited, offsets)).tolist()):
-            g_ = isqrt(t) if t >= n_ * n_ else g_  # unbounded g: uncited papers pad the list
-            yield t, h_, core_, g_, fsum(j_terms[a:b]), fsum(js_terms[a:b])
-            a = b
+        blocks.append(_j(counts, offsets) if roots == "j" else _block(counts, offsets, roots))
+        lo = hi
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def profiles(columns: Columns) -> list[IndexProfile]:
-    """``index_profile`` of every researcher."""
-    return [_profile(*row) for row in _rows(columns)]
+def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool) -> list[np.ndarray]:
+    lengths = np.diff(offsets)
+    first = np.repeat(offsets[:-1], lengths)
+    rank = np.arange(1, counts.size + 1) - first
+    run = np.concatenate(([0], np.cumsum(counts)))
+    cited = (counts > 0) & roots
+    terms = _per(cited, offsets)
+    if run[-1] >= _EXACT or terms.max() >= _TERMS:  # cum / rank would round, or the split sums
+        rows = [_kernel(counts[a:b].tolist(), roots=roots) for a, b in zip(offsets[:-1], offsets[1:])]
+        return [np.array(column, dtype) for column, dtype in zip(zip(*rows), [np.int64] * 4 + [float] * 2)]
+    cum = run[1:] - run[first]
+    total = run[offsets[1:]] - run[offsets[:-1]]
+    h = _per(counts >= rank, offsets)
+    core = run[offsets[:-1] + h] - run[offsets[:-1]]
+    g = _per(cum >= rank * rank, offsets)
+    wide = np.flatnonzero(total >= lengths * lengths)  # unbounded g: uncited papers pad the list
+    g[wide] = [math.isqrt(t) for t in total[wide].tolist()]
+    terms = np.concatenate(([0], np.cumsum(terms)))
+    return [total, h, core, g, _sums(np.sqrt(counts[cited]), terms), _sums(np.sqrt(cum[cited] / rank[cited]), terms)]
 
 
-def partitions(columns: Columns) -> list[HCorePartition]:
-    """``h_core_partition`` of every researcher; raises at the first without citations."""
-    return [_partition(total, h, core) for total, h, core, *_ in _rows(columns, roots=False)]
+def _j(counts: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """``_block``'s j alone."""
+    cited = counts > 0
+    terms = _per(cited, offsets)
+    if terms.max() >= _TERMS:
+        return _block(counts, offsets, True)[4:5]  # which takes the scalar kernel
+    return [_sums(np.sqrt(counts[cited]), np.concatenate(([0], np.cumsum(terms))))]
+
+
+def _sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each researcher's ``terms``, bit for bit, for terms in [1, 2**15)
+    and fewer than ``_TERMS`` of them per researcher (module docstring)."""
+    high = np.floor(terms * _SPLIT) / _SPLIT
+    return _per(high, offsets, float) + _per(terms - high, offsets, float)

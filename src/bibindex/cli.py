@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -14,14 +15,14 @@ from .experiments import (
     AssociationTable,
     ManipulationMode,
     _manipulation_report,
+    _partitions,
     apply_manipulation,
-    discipline_aggregate,
     reproduce_table,
 )
 from .io import ParseError, parse_citations_csv, parse_citations_wide
-from .metrics import INDEX_NAMES, h_core_partition, index_profile
-from .ranking import association_matrix
-from .reports import FORMATS, PartitionReport, ProfileReport, emit_report
+from .metrics import INDEX_NAMES, _kernel
+from .ranking import association_grid, rank_descending
+from .reports import FORMATS, CohortTable, emit_report
 
 _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
           "decrement": ManipulationMode.DECREMENT_ALL}
@@ -106,48 +107,62 @@ def _index_list(text: str) -> tuple[str, ...]:
 
 
 def _cohort(args):
-    """Names, and functions of the partitions and of the profiles (after a manipulation if given)."""
+    """The file's researchers: records below ``_COLUMNS_FROM`` bytes, else ``_columns.Columns``."""
     if os.path.getsize(args.file) < _COLUMNS_FROM:
-        records = _load_records(args)
-        return ([record.researcher_id for record in records],
-                lambda: [h_core_partition(record) for record in records],
-                lambda mode=None: [index_profile(record if mode is None else apply_manipulation(record, mode))
-                                   for record in records])
-
+        return _load_records(args)
     from . import _columns
     # a long file's bytes become columns unless the reader declines; the parsers read the rest
     columns = None if args.wide else _columns.read_long(Path(args.file).read_bytes())
-    columns = columns or _columns.from_records(_load_records(args))
-    return (columns.names, lambda: _columns.partitions(columns),
-            lambda mode=None: _columns.profiles(columns if mode is None else _columns.manipulated(columns, mode)))
+    return columns or _columns.from_records(_load_records(args))
+
+
+def _table(cohort, mode=None, roots=True) -> dict[str, list]:
+    """The cohort's ``metrics._kernel`` values by name, T, h, core, g, A (None where h = 0), R,
+    j and jS (0.0 without ``roots``), after a manipulation if given; on columns, j alone for "j"."""
+    if isinstance(cohort, list):
+        records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
+        columns = [list(column) for column in zip(*(_kernel(record.counts, roots=roots) for record in records))]
+    else:
+        from . import _columns
+        cohort = cohort if mode is None else _columns.manipulated(cohort, mode)
+        if roots == "j":
+            return {"j": _columns.kernel(cohort, "j")[0].tolist()}
+        columns = [column.tolist() for column in _columns.kernel(cohort, roots)]
+    table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns))
+    table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]
+    table["R"] = list(map(math.sqrt, table["core"]))
+    return table
+
+
+def _column(table: dict[str, list], name: str) -> list:
+    """A column to rank: only A can be undefined, where h = 0."""
+    if None in table[name]:
+        raise ValueError("A is undefined for records with h = 0")
+    return table[name]
 
 
 def _run(args) -> str:
     if args.command == "reproduce":
         return emit_report(reproduce_table(args.table), args.format)
 
-    names, partitions, profiles = _cohort(args)
+    cohort = _cohort(args)
+    names = [record.researcher_id for record in cohort] if isinstance(cohort, list) else cohort.names
     if args.command == "indices":
-        return emit_report(ProfileReport(tuple(zip(names, profiles()))), args.format)
+        return emit_report(CohortTable(names, _table(cohort)), args.format)
 
     if args.command == "compare":
-        reports = association_matrix(profiles(), args.left, args.right, ids=names)
-        table = AssociationTable(
-            table_id="compare",
-            caption=f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}",
-            row_indices=args.left, col_indices=args.right,
-            reports=tuple(reports))
-        return emit_report(table, args.format)
+        table = _table(cohort)
+        reports = association_grid(args.left, args.right, lambda name: rank_descending(
+            _column(table, name), index_name=name, ids=names))
+        caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
+        return emit_report(AssociationTable("compare", caption, args.left, args.right, tuple(reports)), args.format)
 
     if args.command == "hcore":
-        rows = tuple(zip(names, partitions()))
-        aggregate = discipline_aggregate(part for _, part in rows)
-        return emit_report(PartitionReport(rows, aggregate), args.format)
+        return emit_report(CohortTable(names, *_partitions(_table(cohort, roots=False))), args.format)
 
     # manipulate
-    mode = _MODES[args.mode]
-    before, after = (tuple(profile.value(args.index) for profile in cohort)
-                     for cohort in (profiles(), profiles(mode)))
+    mode, roots = _MODES[args.mode], "j" if args.index == "j" else args.index == "jS"
+    before, after = (_column(_table(cohort, m, roots), args.index) for m in (None, mode))
     return emit_report(_manipulation_report(names, mode, args.index, before, after), args.format)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter, sub, truediv
 from typing import Iterable, Sequence
 
 from .io import CohortDataset, load_bundled_dataset
@@ -136,11 +137,6 @@ def apply_manipulation(record: CitationRecord, mode: ManipulationMode | str) -> 
     return CitationRecord(record.researcher_id, kept, record.total_publications)
 
 
-def _cohort_ranking(cohort: Sequence[CitationRecord], index_name: str) -> Ranking:
-    values = tuple(index_profile(r).value(index_name) for r in cohort)
-    return rank_descending(values, index_name=index_name, ids=tuple(r.researcher_id for r in cohort))
-
-
 def _diff_rankings(before: Ranking, after: Ranking, index_name: str) -> RankChangeReport:
     """Pair each changed position with the first later one holding its
     rank exchange (a swap); positions left unpaired are moves."""
@@ -175,8 +171,8 @@ def rank_change_report(cohort_before: Sequence[CitationRecord],
     ids_after = tuple(r.researcher_id for r in cohort_after)
     if ids_before != ids_after:
         raise ValueError("rosters differ between the two cohorts")
-    before = _cohort_ranking(cohort_before, index_name)
-    after = _cohort_ranking(cohort_after, index_name)
+    before, after = (rank_descending([index_profile(r).value(index_name) for r in cohort],
+                                     index_name=index_name, ids=ids_before) for cohort in (cohort_before, cohort_after))
     return _diff_rankings(before, after, index_name)
 
 
@@ -195,16 +191,8 @@ def _manipulation_report(ids: Sequence[str], mode: ManipulationMode, index_name:
     """Rank a cohort's index values before and after a transform, and diff the rankings."""
     before = rank_descending(before_values, index_name=index_name, ids=ids)
     after = rank_descending(after_values, index_name=index_name, ids=ids)
-    return ManipulationReport(
-        index_name=index_name,
-        mode=mode,
-        ids=before.ids,
-        before_values=tuple(before_values),
-        after_values=tuple(after_values),
-        before_ranks=before.ranks,
-        after_ranks=after.ranks,
-        change=_diff_rankings(before, after, index_name),
-    )
+    return ManipulationReport(index_name, mode, before.ids, tuple(before_values), tuple(after_values),
+                              before.ranks, after.ranks, _diff_rankings(before, after, index_name))
 
 
 def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
@@ -220,17 +208,23 @@ def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
              for member in cohort]
     if not parts:
         raise ValueError("empty cohort")
-    n = len(parts)
-    sum_h = [sum(p.h1 for p in parts), sum(p.h2 for p in parts),
-             sum(p.h3 for p in parts), sum(p.h4 for p in parts)]
-    sum_t = sum_h[0] + sum_h[3]
-    return DisciplineAggregate(
-        discipline=discipline,
-        mean_h1=sum_h[0] / n, mean_h2=sum_h[1] / n,
-        mean_h3=sum_h[2] / n, mean_h4=sum_h[3] / n,
-        mean_g1=sum_h[0] / sum_t, mean_g2=sum_h[1] / sum_t,
-        mean_g3=sum_h[2] / sum_t, mean_g4=sum_h[3] / sum_t,
-    )
+    return _aggregate(discipline, len(parts), [sum(map(attrgetter(f), parts)) for f in ("h1", "h2", "h3", "h4")])
+
+
+def _partitions(table: dict[str, list]) -> tuple[dict[str, list], DisciplineAggregate]:
+    """``h_core_partition`` of each researcher of a T, h, core table as columns H1..G4, and the aggregate."""
+    total, h1 = table["T"], table["core"]
+    if 0 in total:
+        raise ValueError("no citations: partition proportions are undefined")
+    h2 = [h * h for h in table["h"]]
+    split = [h1, h2, list(map(sub, h1, h2)), list(map(sub, total, h1))]
+    columns = dict(zip("H1 H2 H3 H4 G1 G2 G3 G4".split(), split + [list(map(truediv, c, total)) for c in split]))
+    return columns, _aggregate("cohort", len(total), list(map(sum, split)))
+
+
+def _aggregate(discipline: str, n: int, sum_h: list[int]) -> DisciplineAggregate:
+    """Mean H1..H4 over ``n`` researchers, and G1..G4 pooled over their summed T."""
+    return DisciplineAggregate(discipline, *(h / n for h in sum_h), *(h / (sum_h[0] + sum_h[3]) for h in sum_h))
 
 
 def _normalise_table_id(table_id) -> str:
@@ -249,15 +243,9 @@ def _aggregate_from_index_rows(dataset: CohortDataset) -> DisciplineAggregate:
     # H1 = G1*T and H2 = h^2.  H means are not reconstructable to full
     # precision from the rounded G1 column, so they stay None.
     sum_t = sum(row.total_citations for row in dataset.rows)
-    sum_h1 = sum(row.g1 * row.total_citations for row in dataset.rows)
-    sum_h2 = sum(row.h ** 2 for row in dataset.rows)
-    g1 = sum_h1 / sum_t
-    g2 = sum_h2 / sum_t
-    return DisciplineAggregate(
-        discipline=dataset.discipline,
-        mean_h1=None, mean_h2=None, mean_h3=None, mean_h4=None,
-        mean_g1=g1, mean_g2=g2, mean_g3=g1 - g2, mean_g4=1.0 - g1,
-    )
+    g1 = sum(row.g1 * row.total_citations for row in dataset.rows) / sum_t
+    g2 = sum(row.h ** 2 for row in dataset.rows) / sum_t
+    return DisciplineAggregate(dataset.discipline, None, None, None, None, g1, g2, g1 - g2, 1.0 - g1)
 
 
 def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable:
@@ -272,11 +260,8 @@ def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable
     if table_id == "T5":
         if dataset is None:
             dataset = [load_bundled_dataset(d) for d in ("immunology", "economics", "physics")]
-        return AggregateTable(
-            table_id="T5",
-            caption="Citation share inside and outside the h-core, by discipline",
-            rows=tuple(_aggregate_from_index_rows(cohort) for cohort in dataset),
-        )
+        return AggregateTable("T5", "Citation share inside and outside the h-core, by discipline",
+                              tuple(_aggregate_from_index_rows(cohort) for cohort in dataset))
 
     discipline, row_indices, col_indices, caption = _ASSOCIATION_TABLES[table_id]
     if dataset is None:
@@ -287,10 +272,4 @@ def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable
     h, t = dataset.column("h"), dataset.column("T")
     reports = association_grid(row_indices, col_indices, lambda name: rank_untied(
         dataset.column(name), h, t, index_name=name, ids=dataset.names))
-    return AssociationTable(
-        table_id=table_id,
-        caption=caption,
-        row_indices=row_indices,
-        col_indices=col_indices,
-        reports=tuple(reports),
-    )
+    return AssociationTable(table_id, caption, row_indices, col_indices, tuple(reports))

@@ -85,19 +85,8 @@ def load_bundled_dataset(discipline: str) -> CohortDataset:
     header = next(reader)
     if header != ["name", "pub", "cited", "T", "h", "g", "j", "jS", "G1"]:
         raise ParseError(f"unexpected header in bundled dataset {key}: {header}")
-    rows = []
-    for cells in reader:
-        rows.append(IndexRow(
-            name=cells[0],
-            publications=int(cells[1]),
-            cited=int(cells[2]),
-            total_citations=int(cells[3]),
-            h=int(cells[4]),
-            g=int(cells[5]),
-            j=float(cells[6]),
-            js=float(cells[7]),
-            g1=float(cells[8]),
-        ))
+    # the columns are IndexRow's fields in order: a name, five counts and three reals
+    rows = (IndexRow(cells[0], *map(int, cells[1:6]), *map(float, cells[6:])) for cells in reader)
     return CohortDataset(discipline=key, rows=tuple(rows))
 
 

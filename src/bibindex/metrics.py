@@ -165,38 +165,19 @@ def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int
     return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)
 
 
-def _profile(total: int, h: int, core: int, g: int, j: float, js: float) -> IndexProfile:
-    return IndexProfile(
-        total_citations=total,
-        h=h,
-        g=g,
-        a=Fraction(core, h) if h > 0 else None,
-        r=math.sqrt(core),
-        j=j,
-        js=js,
-    )
-
-
 def index_profile(record: CitationRecord) -> IndexProfile:
     """All seven indicators for one record, computed consistently."""
-    return _profile(*_kernel(record.counts))
-
-
-def _partition(total: int, h: int, h1: int) -> HCorePartition:
-    if total == 0:
-        raise ValueError("no citations: partition proportions are undefined")
-    h2 = h * h
-    h3 = h1 - h2
-    h4 = total - h1
-    return HCorePartition(
-        h1=h1, h2=h2, h3=h3, h4=h4,
-        g1=h1 / total, g2=h2 / total, g3=h3 / total, g4=h4 / total,
-    )
+    total, h, core, g, j, js = _kernel(record.counts)
+    return IndexProfile(total, h, g, Fraction(core, h) if h > 0 else None, math.sqrt(core), j, js)
 
 
 def h_core_partition(record: CitationRecord) -> HCorePartition:
     """Citation split inside/outside the h-core, with proportions of T."""
-    return _partition(*_kernel(record.counts, roots=False)[:3])
+    total, h, h1 = _kernel(record.counts, roots=False)[:3]
+    if total == 0:
+        raise ValueError("no citations: partition proportions are undefined")
+    h2, h3, h4 = h * h, h1 - h * h, total - h1
+    return HCorePartition(h1, h2, h3, h4, h1 / total, h2 / total, h3 / total, h4 / total)
 
 
 def total_citations(record: CitationRecord) -> int:

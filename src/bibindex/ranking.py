@@ -61,14 +61,9 @@ class Ranking:
             raise ValueError("a ranking needs at least one entry")
         if len(self.ids) != n:
             raise ValueError("ids and ranks must have the same length")
-        # valid fractional rankings are fixed points of average re-ranking
-        if n < _NUMPY_FROM:
-            ranks = [float(r) for r in self.ranks]
-            fixed = all(abs(a - r) <= 1e-9 for a, r in zip(_py_average_ranks(ranks), ranks))  # False for NaN, inf
-        else:
-            import numpy as np
-            fixed = np.allclose(_average_ranks(self._array), self._array, rtol=0.0, atol=1e-9)
-        if not fixed:
+        # valid fractional rankings are fixed points of average re-ranking (``_ranking`` skips this)
+        ranks = [float(r) for r in self.ranks]
+        if not all(abs(a - r) <= 1e-9 for a, r in zip(_py_average_ranks(ranks), ranks)):  # False for NaN, inf
             raise ValueError("ranks are not a valid fractional (average-tie) ranking")
 
     def __len__(self) -> int:
@@ -140,9 +135,13 @@ def _negated(values):
 
 
 def _ranking(index_name: str, ids, ranks: list[float]) -> Ranking:
-    if ids is None:
-        ids = tuple(str(i) for i in range(1, len(ranks) + 1))
-    return Ranking(index_name, tuple(ids), tuple(ranks))
+    """A ranking of ranks computed here: valid by construction, so not re-ranked to check."""
+    ids = tuple(str(i) for i in range(1, len(ranks) + 1)) if ids is None else tuple(ids)
+    if len(ids) != len(ranks):
+        raise ValueError("ids and ranks must have the same length")
+    ranking = object.__new__(Ranking)
+    vars(ranking).update(index_name=index_name, ids=ids, ranks=tuple(ranks))
+    return ranking
 
 
 def rank_descending(values: Sequence[float], *, index_name: str = "value",

@@ -42,6 +42,15 @@ class PartitionReport:
     aggregate: DisciplineAggregate
 
 
+class CohortTable(NamedTuple):
+    """A cohort as columns in roster order, as both reports above are shown: a sequence per index
+    name (A None where h = 0), or with an ``aggregate``, per key of the h-core split H1..G4."""
+
+    names: Sequence[str]
+    columns: dict[str, Sequence]
+    aggregate: DisciplineAggregate | None = None
+
+
 def _rank(value: float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.1f}"
 
@@ -161,15 +170,6 @@ def _view(report) -> _View:
 
 
 @_view.register
-def _(report: ProfileReport) -> _View:
-    profiles = [profile for _, profile in report.rows]
-    values = [[name for name, _ in report.rows]]
-    values += [list(map(attrgetter(INDEX_FIELDS[name]), profiles)) for name in INDEX_NAMES]
-    spec = " ".join(["researcher", *(f"{name}:{name}" for name in INDEX_NAMES)])
-    return _View((_Rows(_columns(spec), values),))
-
-
-@_view.register
 def _(report: AssociationTable) -> _View:
     return _View((_rows("left right spearman:share significance footrule:share m_measure:share", [
         (*rep.pair, rep.spearman, rep.significance.marker, rep.footrule, rep.m_measure)
@@ -192,18 +192,33 @@ _view.register(AggregateTable, lambda table: _View((_aggregate_rows(table.rows),
 _view.register(DisciplineAggregate, lambda agg: _View((_aggregate_rows([agg]),)))
 
 
+_INDEX_COLUMNS = _columns("researcher " + " ".join(f"{name}:{name}" for name in INDEX_NAMES))
+_SPLIT_COLUMNS = _columns("researcher H1 H2 H3 H4" + _G_SHARES)
+
+
+def _table(rows, fields: dict[str, str], aggregate=None) -> CohortTable:
+    """Rows of (name, object) as a table of the objects' ``fields`` by column key."""
+    objects = [obj for _, obj in rows]
+    return CohortTable([name for name, _ in rows],
+                       {key: list(map(attrgetter(field), objects)) for key, field in fields.items()}, aggregate)
+
+
+_view.register(ProfileReport, lambda report: _view(_table(report.rows, INDEX_FIELDS)))
+_view.register(PartitionReport, lambda report: _view(_table(
+    report.rows, {key: key.lower() for key, _ in _SPLIT_COLUMNS[1:]}, report.aggregate)))
+
+
 @_view.register
-def _(report: PartitionReport) -> _View:
-    split = attrgetter("h1", "h2", "h3", "h4", "g1", "g2", "g3", "g4")
-    agg = report.aggregate
-    # the aggregate closes the table under a "[mean]" label in text, and as
-    # its own discipline object in json-lines
-    return _View((
-        _rows("researcher H1 H2 H3 H4" + _G_SHARES,
-              [(name, *split(p)) for name, p in report.rows]),
-        _rows("researcher" + _H_MEANS + _G_SHARES,
-              [(f"[mean] {agg.discipline}", *_means(agg), *_shares(agg))], _TEXT),
-        _aggregate_rows([agg], _JSON)))
+def _(table: CohortTable) -> _View:
+    columns = _INDEX_COLUMNS if table.aggregate is None else _SPLIT_COLUMNS
+    rows = _Rows(columns, [table.names, *(table.columns[key] for key, _ in columns[1:])])
+    if table.aggregate is None:
+        return _View((rows,))
+    # the aggregate closes the table as a "[mean]" row in text, as its own object in json-lines
+    agg = table.aggregate
+    return _View((rows, _rows("researcher" + _H_MEANS + _G_SHARES,
+                              [(f"[mean] {agg.discipline}", *_means(agg), *_shares(agg))], _TEXT),
+                  _aggregate_rows([agg], _JSON)))
 
 
 @_view.register

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibindex import (
+    INDEX_NAMES,
     CitationRecord,
     ManipulationMode,
     ParseError,
     apply_manipulation,
+    discipline_aggregate,
     h_core_partition,
     index_profile,
     parse_citations_csv,
+    smooth,
 )
-from bibindex import _columns, cli
+from bibindex import _columns, cli, experiments
 from bibindex.cli import cli_dispatch
+from bibindex.metrics import INDEX_FIELDS, MAX_COUNT, _kernel
 
 
 def _parse(data: bytes):
@@ -148,7 +153,8 @@ def test_reader_reads_the_sidecar_and_names_like_the_parser():
 # the kernel and the manipulations: field for field against the library
 
 _count_values = st.integers(0, 12) | st.sampled_from([0, 0, 1, 1, 10**9])
-_cohorts = st.lists(st.tuples(st.lists(_count_values, max_size=12), st.integers(0, 3)), min_size=1, max_size=8)
+_cohorts = st.lists(st.tuples(st.lists(_count_values, max_size=12), st.integers(0, 3) | st.just(MAX_COUNT)),
+                    min_size=1, max_size=8)
 
 
 def _cohort(drawn):
@@ -163,26 +169,51 @@ def _outcome(compute):
         return str(err)
 
 
+def _kernel_rows(columns, roots=True):
+    """``_columns.kernel`` as one (T, h, core, g, j, jS) tuple per researcher."""
+    return list(zip(*(column.tolist() for column in _columns.kernel(columns, roots))))
+
+
 @settings(max_examples=300)
-@given(_cohorts, st.data())
-def test_kernel_matches_the_library_bit_for_bit(drawn, data):
+@given(_cohorts, st.booleans(), st.data())
+def test_kernel_matches_the_library_bit_for_bit(drawn, roots, data):
     records = _cohort(drawn)
     columns = _columns.from_records(records)
     assert _records(columns) == _as_tuples(records)
     with _small_blocks(data):
-        assert _columns.profiles(columns) == [index_profile(r) for r in records]
-        assert _outcome(lambda: _columns.partitions(columns)) == _outcome(
-            lambda: [h_core_partition(r) for r in records])
+        assert _kernel_rows(columns, roots) == [_kernel(r.counts, roots=roots) for r in records]
+    assert _columns.kernel(columns, "j")[0].tolist() == [_kernel(r.counts)[4] for r in records]
+
+
+@settings(max_examples=200)
+@given(_cohorts, st.booleans(), st.data())
+def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columnar, data):
+    records = _cohort(drawn)
+    cohort = _columns.from_records(records) if columnar else records
+    with _small_blocks(data):
+        table = cli._table(cohort)
+        split = _outcome(lambda: experiments._partitions(cli._table(cohort, roots=False)))
+    profiles = [index_profile(r) for r in records]
+    assert table["A"] == [None if p.a is None else float(p.a) for p in profiles]
+    assert all(table[name] == [getattr(p, INDEX_FIELDS[name]) for p in profiles] for name in INDEX_NAMES if name != "A")
+
+    def library():
+        parts = [h_core_partition(r) for r in records]
+        return {key: [getattr(p, key.lower()) for p in parts] for key in split[0]}, discipline_aggregate(parts)
+    assert split == _outcome(library)
 
 
 @settings(max_examples=200)
 @given(_cohorts, st.sampled_from(list(ManipulationMode)), st.data())
 def test_manipulated_columns_match_apply_manipulation(drawn, mode, data):
-    records = [apply_manipulation(r, mode) for r in _cohort(drawn)]
-    columns = _columns.manipulated(_columns.from_records(_cohort(drawn)), mode)
+    records = _outcome(lambda: [apply_manipulation(r, mode) for r in _cohort(drawn)])
+    columns = _outcome(lambda: _columns.manipulated(_columns.from_records(_cohort(drawn)), mode))
+    if isinstance(records, str):  # a decrement past MAX_COUNT unstored papers
+        assert columns == records
+        return
     assert _records(columns) == _as_tuples(records)
     with _small_blocks(data):
-        assert _columns.profiles(columns) == [index_profile(r) for r in records]
+        assert _kernel_rows(columns) == [_kernel(r.counts) for r in records]
 
 
 def test_kernel_edge_records():
@@ -190,17 +221,77 @@ def test_kernel_edge_records():
                CitationRecord.from_counts("lone", [100]),  # unbounded g: 10 from one paper
                CitationRecord.from_counts("max", [10**9] * 3 + [1])]
     columns = _columns.from_records(records)
-    profiles = _columns.profiles(columns)
-    assert profiles == [index_profile(r) for r in records] and profiles[2].g == 10
+    rows = _kernel_rows(columns)
+    assert rows == [_kernel(r.counts) for r in records] and rows[2][3] == 10
     with pytest.raises(ValueError, match="^no citations: partition proportions are undefined$"):
-        _columns.partitions(columns)
+        experiments._partitions(cli._table(columns, roots=False))
+
+
+def _falls_back_past(guard, value):
+    """With ``_columns.<guard>`` set to ``value``, blocks take ``metrics._kernel`` and agree with it."""
+    records = [CitationRecord.from_counts(f"r{i}", [i + 3, 2, 1, 0][:i + 1]) for i in range(5)]
+    columns = _columns.from_records(records)
+    with mock.patch.object(_columns, guard, value), mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
+        assert _kernel_rows(columns) == [_kernel(r.counts) for r in records]
+        assert _columns.kernel(columns, "j")[0].tolist() == [_kernel(r.counts)[4] for r in records]
+    assert scalar.called
 
 
 def test_kernel_falls_back_to_the_scalar_kernel_past_exact_floats():
-    records = [CitationRecord.from_counts(f"r{i}", [i + 3, 2, 1, 0]) for i in range(5)]
-    columns = _columns.from_records(records)
-    with mock.patch.object(_columns, "_EXACT", 10):
-        assert _columns.profiles(columns) == [index_profile(r) for r in records]
+    _falls_back_past("_EXACT", 10)
+
+
+def test_kernel_falls_back_to_the_scalar_kernel_past_exact_sums():
+    _falls_back_past("_TERMS", 3)  # researchers of 3 or more cited papers
+
+
+# ---------------------------------------------------------------------------
+# exact sums: math.fsum, bit for bit
+
+def test_the_exact_sum_bounds_hold():
+    assert 1 <= math.sqrt(1) and math.sqrt(MAX_COUNT) < 2**15  # every term, of j and of jS
+    assert 2**15 * _columns._TERMS * _columns._SPLIT <= 2**53  # the high parts' sums
+    assert _columns._TERMS / _columns._SPLIT * 2**52 <= 2**53  # the low parts' sums, in units of 2**-52
+
+
+# a term next to a float boundary, and runs of one term
+_terms = st.sampled_from([1.0, 1 + 2**-52, 1.5, 2**15 - 2**-38, math.sqrt(2), math.sqrt(10**9)]) | st.floats(
+    1, 2**15, exclude_max=True)
+_runs = st.lists(st.tuples(_terms, st.sampled_from([1, 1, 2, 7, 1000, 3000])), max_size=4).map(
+    lambda runs: [term for term, times in runs for _ in range(times)])
+
+
+@st.composite
+def _midpoints(draw):
+    """A total within 2**-52 of a rounding midpoint: one term near 2**14, then 2**13 - 1 to
+    2**13 + 1 terms of 1 + 2**-52, whose tails add up to about half a unit in the last place."""
+    big = 2**14 + draw(st.integers(0, 2**20)) * 2**-38
+    return [big] + [1 + 2**-52] * (2**13 + draw(st.integers(-1, 1)))
+
+
+@settings(max_examples=200)
+@given(st.lists(_runs | _midpoints(), min_size=1, max_size=5))
+def test_exact_sums_equal_fsum(segments):
+    terms = np.array([term for segment in segments for term in segment])
+    offsets = np.concatenate(([0], np.cumsum([len(segment) for segment in segments])))
+    assert _columns._sums(terms, offsets).tolist() == [math.fsum(segment) for segment in segments]
+
+
+_cited_runs = st.lists(st.tuples(st.sampled_from([1, 2, 3, 10**9 - 1, 10**9]) | st.integers(1, 10**9),
+                                 st.sampled_from([1, 2, 50, 3000])), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_cited_runs, st.integers(0, 3)), min_size=1, max_size=4), st.data())
+def test_kernel_j_and_js_equal_fsum_on_long_runs_and_huge_counts(drawn, data):
+    records = [CitationRecord.from_counts(f"r{i}", [c for c, times in runs for _ in range(times)] + [0] * zeros)
+               for i, (runs, zeros) in enumerate(drawn)]
+    with _small_blocks(data):
+        rows = _kernel_rows(_columns.from_records(records))
+    for record, (*_, j, js) in zip(records, rows):
+        cited = record.cited_counts
+        assert j == math.fsum(map(math.sqrt, cited)) == _kernel(record.counts)[4]
+        assert js == math.fsum(math.sqrt(m) for m in smooth(cited)) == _kernel(record.counts)[5]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +300,8 @@ def test_kernel_falls_back_to_the_scalar_kernel_past_exact_floats():
 COHORT = [("ann", [10, 8, 5, 1, 1, 0]), ("bob", [9, 9, 2]), ("Müller", [30, 1, 1, 1]), ("007", [3, 0, 0]),
           ("dee", [1, 1, 1, 1])]
 COMMANDS = [["indices"], ["compare"], ["hcore"], ["manipulate", "--mode", "drop-singletons", "--index", "jS"],
-            ["manipulate", "--mode", "decrement", "--index", "h"]]
+            ["manipulate", "--mode", "decrement", "--index", "h"],
+            ["manipulate", "--index", "j", "--mode", "decrement"]]  # j: the kernel's j alone on columns
 
 
 def _run(capsys, argv):
@@ -256,3 +348,39 @@ def test_a_perfbench_shaped_file_takes_the_reader(capsys, monkeypatch, tmp_path)
     monkeypatch.setattr(cli, "_load_records", None)  # the parsers are not reached
     assert _run(capsys, ["indices", str(path)]).count("\n") == 51
     assert _records(_columns.read_long(path.read_bytes())) == _as_tuples(_parse(path.read_bytes()))
+
+
+@pytest.fixture(scope="module")
+def pareto_file(tmp_path_factory):
+    """2,500 researchers, past ``ranking._NUMPY_FROM``, with Pareto counts; everyone cited."""
+    rng = np.random.default_rng(11)
+    counts = np.floor(rng.pareto(1.2, size=(2500, 8))).astype(np.int64)
+    counts[:, 0] += 1
+    lines = ["researcher,citations"] + [f"r{i:04d},{c}" for i, row in enumerate(counts.tolist()) for c in row]
+    path = tmp_path_factory.mktemp("pareto") / "cohort.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json-lines"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+def test_cli_prints_the_same_on_both_paths_past_the_numpy_rankings(capsys, monkeypatch, pareto_file, command, fmt):
+    outputs = []
+    for threshold in (10**12, 0):
+        monkeypatch.setattr(cli, "_COLUMNS_FROM", threshold)
+        outputs.append(_run(capsys, [command[0], str(pareto_file), *command[1:], "--format", fmt]))
+    assert outputs[0] == outputs[1]
+
+
+def test_decrement_past_the_unstored_limit_fails_alike_on_both_paths(capsys, monkeypatch, tmp_path):
+    """Decrementing keeps the total, so two dropped 1s leave MAX_COUNT + 1 papers unstored."""
+    path = tmp_path / "edge.csv"
+    path.write_text("researcher,citations,uncited_publications\na,5,999999999\na,1,\na,1,\n", encoding="utf-8")
+    message = f"total_publications cannot exceed the stored counts by more than {MAX_COUNT}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_manipulation(_parse(path.read_bytes())[0], ManipulationMode.DECREMENT_ALL)
+    for threshold in (10**12, 0):
+        monkeypatch.setattr(cli, "_COLUMNS_FROM", threshold)
+        assert cli_dispatch(["manipulate", str(path), "--mode", "decrement"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert _run(capsys, ["manipulate", str(path), "--mode", "drop-singletons"]).startswith("j ranking")

@@ -10,9 +10,11 @@ from typing import Iterable, Sequence
 
 from .io import CohortDataset, load_bundled_dataset
 from .metrics import (
+    MAX_COUNT,
     CitationRecord,
     HCorePartition,
     h_core_partition,
+    _record,
     index_profile,
 )
 from .ranking import AssociationReport, Ranking, association_grid, rank_descending, rank_untied
@@ -127,14 +129,16 @@ def apply_manipulation(record: CitationRecord, mode: ManipulationMode | str) -> 
     by one; publications falling to zero stay in the publication total but
     leave the cited list.
     """
-    mode = ManipulationMode(mode)
+    mode = mode if type(mode) is ManipulationMode else ManipulationMode(mode)  # an Enum call is slow
+    counts, total = record.counts, record.total_publications
     if mode is ManipulationMode.DROP_SINGLETONS:
-        kept = tuple(c for c in record.counts if c != 1)
-        removed = len(record.counts) - len(kept)
-        return CitationRecord(record.researcher_id, kept,
-                              record.total_publications - removed)
-    kept = tuple(c - 1 for c in record.counts if c >= 2)
-    return CitationRecord(record.researcher_id, kept, record.total_publications)
+        kept = tuple([c for c in counts if c != 1])
+        total -= len(counts) - len(kept)
+    else:
+        kept = tuple([c - 1 for c in counts if c >= 2])
+    if type(record) is not CitationRecord or total > len(kept) + MAX_COUNT:  # the one check a decrement can fail
+        return CitationRecord(record.researcher_id, kept, total)  # raises it, or checks a subclass's record
+    return _record(record.researcher_id, kept, total)
 
 
 def _diff_rankings(before: Ranking, after: Ranking, index_name: str) -> RankChangeReport:

@@ -147,9 +147,10 @@ def parse_citations_csv(stream: Iterable[str]) -> list[CitationRecord]:
                              f"got {list(header)}")
         width = len(header)
         for cells in reader:
-            if len(cells) == width and (name := cells[0].strip()) and (cell := cells[1]).isdigit() \
+            if len(cells) == width and (name := cells[0].strip()) \
+                    and ((cell := cells[1]).isdigit() or (cell := cell.strip(_PAD)).isdigit()) \
                     and cell.isascii() and len(cell) < 10:
-                count = int(cell)  # the shortcut: only rows the full check accepts, read as it reads them
+                count = int(cell)  # bare or padded: only counts that ``_count`` accepts, read as it reads them
             elif (row := _long_row(cells, width, reader.line_num)) is not None:
                 name, count = row
             else:

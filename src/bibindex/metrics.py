@@ -9,15 +9,17 @@ profile and the partition are built from it, and each single-index
 function reads its field of ``index_profile``.
 
 All functions are pure and operate on immutable ``CitationRecord`` values,
-so callers may evaluate them concurrently across researchers.
+so callers may evaluate them concurrently across researchers; the one shared
+state, a bounded cache of immutable A and R values, is a thread-safe ``lru_cache``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_COUNT = 10**9  # T then fits in int64 and converts to float exactly up to about 9M counts
@@ -38,28 +40,9 @@ class CitationRecord:
     total_publications: int
 
     def __post_init__(self):
-        name, raw = self.researcher_id, tuple(self.counts)
-        if not isinstance(name, str) or not name or name != name.strip():
-            raise ValueError(f"researcher names must be non-empty and unpadded strings, got {name!r}")
-        try:
-            counts = tuple(map(operator.index, raw))
-            total = operator.index(self.total_publications)
-        except TypeError:
-            raise ValueError("citation counts and totals must be integers") from None
-        if bool in map(type, raw) or isinstance(self.total_publications, bool):  # index() reads True as 1
-            raise ValueError("citation counts and totals must be integers, not bool")
+        counts, total = _checked(self.researcher_id, tuple(self.counts), self.total_publications)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total_publications", total)
-        if not all(map(operator.ge, counts, counts[1:])):
-            raise ValueError("counts must be non-increasing")
-        if counts and counts[-1] < 0:
-            raise ValueError("citation counts must be non-negative")
-        if counts and counts[0] > MAX_COUNT:
-            raise ValueError(f"citation counts must be at most {MAX_COUNT}")
-        if total < len(counts):
-            raise ValueError("total_publications cannot be smaller than the stored counts")
-        if total > len(counts) + MAX_COUNT:
-            raise ValueError(f"total_publications cannot exceed the stored counts by more than {MAX_COUNT}")
 
     @classmethod
     def from_counts(cls, researcher_id: str, counts: Iterable[int],
@@ -68,7 +51,9 @@ class CitationRecord:
         ordered = tuple(sorted(counts, reverse=True))
         if total_publications is None:
             total_publications = len(ordered)
-        return cls(researcher_id, ordered, total_publications)
+        if cls is not CitationRecord:
+            return cls(researcher_id, ordered, total_publications)
+        return _record(researcher_id, *_checked(researcher_id, ordered, total_publications, ordered=True))
 
     @property
     def cited_counts(self) -> tuple[int, ...]:
@@ -79,6 +64,34 @@ class CitationRecord:
     def cited_count(self) -> int:
         """Number of publications with at least one citation."""
         return sum(1 for c in self.counts if c > 0)
+
+
+_INT = frozenset((int,))
+
+
+def _checked(name, counts: tuple, total, ordered: bool = False) -> tuple[tuple[int, ...], int]:
+    """Counts and total as a record holds them, after its checks in order; ``ordered``: counts are sorted."""
+    if not isinstance(name, str) or not name or name != name.strip():
+        raise ValueError(f"researcher names must be non-empty and unpadded strings, got {name!r}")
+    if type(total) is not int or not _INT.issuperset(map(type, counts)):  # exact ints convert to themselves
+        try:
+            converted = tuple(map(operator.index, counts)), operator.index(total)
+        except TypeError:
+            raise ValueError("citation counts and totals must be integers") from None
+        if bool in map(type, counts) or isinstance(total, bool):  # index() reads True as 1
+            raise ValueError("citation counts and totals must be integers, not bool")
+        (counts, total), ordered = converted, False
+    if not ordered and not all(map(operator.ge, counts, counts[1:])):
+        raise ValueError("counts must be non-increasing")
+    if counts and counts[-1] < 0:
+        raise ValueError("citation counts must be non-negative")
+    if counts and counts[0] > MAX_COUNT:
+        raise ValueError(f"citation counts must be at most {MAX_COUNT}")
+    if total < len(counts):
+        raise ValueError("total_publications cannot be smaller than the stored counts")
+    if total > len(counts) + MAX_COUNT:
+        raise ValueError(f"total_publications cannot exceed the stored counts by more than {MAX_COUNT}")
+    return counts, total
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,19 @@ class HCorePartition:
     g4: float
 
 
+def _builder(cls):
+    """A fast ``cls(*values)``: no ``__init__`` or checks, ``object.__setattr__`` in field order as ``__init__``."""
+    names = [field.name for field in fields(cls)]
+    source = [f"def build({', '.join(names)}):", " _obj = _new(_cls)", " _put = _setattr.__get__(_obj)",
+              *(f" _put({name!r}, {name})" for name in names), " return _obj"]
+    scope = {"_new": object.__new__, "_setattr": object.__setattr__, "_cls": cls}
+    exec("\n".join(source), scope)
+    return scope["build"]
+
+
+_record, _profile, _partition = map(_builder, (CitationRecord, IndexProfile, HCorePartition))
+
+
 def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int, int, float, float]:
     """T, h, the h-core's citations, g, j and jS, in one pass over descending counts.
 
@@ -165,10 +191,16 @@ def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int
     return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)
 
 
+@lru_cache(maxsize=1 << 14)  # about 4.4k distinct (core, h) pairs among 100k researchers
+def _a_and_r(core: int, h: int) -> tuple[Fraction | None, float]:
+    return (Fraction(core, h) if h else None), math.sqrt(core)
+
+
 def index_profile(record: CitationRecord) -> IndexProfile:
     """All seven indicators for one record, computed consistently."""
     total, h, core, g, j, js = _kernel(record.counts)
-    return IndexProfile(total, h, g, Fraction(core, h) if h > 0 else None, math.sqrt(core), j, js)
+    a, r = _a_and_r(core, h)
+    return _profile(total, h, g, a, r, j, js)
 
 
 def h_core_partition(record: CitationRecord) -> HCorePartition:
@@ -177,7 +209,7 @@ def h_core_partition(record: CitationRecord) -> HCorePartition:
     if total == 0:
         raise ValueError("no citations: partition proportions are undefined")
     h2, h3, h4 = h * h, h1 - h * h, total - h1
-    return HCorePartition(h1, h2, h3, h4, h1 / total, h2 / total, h3 / total, h4 / total)
+    return _partition(h1, h2, h3, h4, h1 / total, h2 / total, h3 / total, h4 / total)
 
 
 def total_citations(record: CitationRecord) -> int:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import partial, singledispatch
 from operator import attrgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .experiments import (AggregateTable, AssociationTable, DisciplineAggregate,
                           ManipulationReport, RankChangeReport)
@@ -127,14 +127,27 @@ def _csv(view: _View) -> str:
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _json_texts(kind: str, column: Sequence) -> Iterable:
+    """A column's cells as ``_encode`` writes their json values, finite floats by repr; an int kind's as they
+    are, for %d.  Each distinct A or R object is converted once: ``index_profile`` shares them."""
+    convert = _CELLS[kind][1]
+    if convert is int:
+        return column
+    cells = dict(zip(map(id, column), column)) if kind in ("A", "R") else None
+    values = column if cells is None else cells.values()
+    values = values if convert is None else map(convert, values)
+    texts = (repr(v) if type(v) is float and v - v == 0 else _encode(v) for v in values)
+    return texts if cells is None else map(dict(zip(cells, texts)).__getitem__, map(id, column))
+
+
 def _json_lines(view: _View) -> str:
     lines = []
     for part in view.parts:
         if "json-lines" in part.formats:
-            keys = [key for key, _ in part.columns]
-            values = [column if _CELLS[kind][1] is None else map(_CELLS[kind][1], column)
-                      for (_, kind), column in zip(part.columns, part.values)]
-            lines += map(_encode, map(dict, map(partial(zip, keys), zip(*values))))
+            line = "{%s}" % ", ".join(_encode(key) + (": %d" if _CELLS[kind][1] is int else ": %s")
+                                      for key, kind in part.columns)
+            lines += map(line.__mod__, zip(*[_json_texts(kind, column)
+                                             for (_, kind), column in zip(part.columns, part.values)]))
     return "\n".join(lines)
 
 

@@ -1,6 +1,7 @@
 """CSV ingestion, bundled datasets and report emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -10,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibindex import (
+    INDEX_NAMES,
+    AggregateTable,
     AssociationTable,
     CitationRecord,
     CohortDataset,
+    DisciplineAggregate,
+    HCorePartition,
+    IndexProfile,
     IndexRow,
+    ManipulationMode,
+    ManipulationReport,
     ParseError,
     PartitionReport,
     ProfileReport,
@@ -24,10 +32,14 @@ from bibindex import (
     load_bundled_dataset,
     parse_citations_csv,
     parse_citations_wide,
+    RankChangeReport,
+    Significance,
     records_to_csv,
     reproduce_table,
 )
-from bibindex.ranking import AssociationReport, Significance
+from bibindex import reports
+from bibindex.ranking import AssociationReport
+from bibindex.reports import CohortTable
 
 
 def parse(text):
@@ -326,6 +338,23 @@ def test_long_and_wide_renderings_of_one_cohort_parse_to_equal_records(cohort, d
     assert sorted(long, key=lambda r: r.researcher_id) == sorted(wide, key=lambda r: r.researcher_id)
 
 
+_count_cells = st.integers(0, 12).map(str) | st.integers(0, 2 * 10**9).map(str) | st.sampled_from(
+    ["0000000005", "0" * 12 + "7", "", "-1", "x", "1e3", "+2", "1_000", "٥", "\xa05", "5 5"])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "Doe, Jane"]), _count_cells, _pads, _pads), min_size=1,
+                max_size=8))
+def test_padded_and_bare_counts_parse_alike(rows):
+    """Equal records, or the same error but for the cell it quotes, with and without spaces and tabs."""
+    def outcome(padded):
+        text = _LONG + "".join(f"{_csv_line([name], False)},{before + cell + after if padded else cell}\n"
+                               for name, cell, before, after in rows)
+        result = _outcome(parse_citations_csv, text)
+        return result.split(", got ")[0] if isinstance(result, str) else result
+
+    assert outcome(True) == outcome(False)
+
+
 # ---------------------------------------------------------------------------
 # wide-format parsing
 
@@ -519,3 +548,89 @@ def test_emit_is_deterministic():
     a = emit_report(reproduce_table("T1"), "plain")
     b = emit_report(reproduce_table("T1"), "plain")
     assert a.encode() == b.encode()
+
+
+# json-lines against the json module writing each row as a dict
+
+_json_names = st.text(st.sampled_from('ab"\\\x00\x1f\x7f é中😀 ,\n\t'), min_size=1, max_size=6) | st.integers()
+_any_floats = st.floats() | st.integers(-5, 5)  # NaN, ±inf and ints among the floats
+_ints = st.integers(0, 10**12)
+
+
+def _profiles(draw):
+    return IndexProfile(draw(_ints), draw(_ints), draw(_ints), draw(st.none() | st.fractions() | _any_floats),
+                        draw(_any_floats), draw(_any_floats), draw(_any_floats))
+
+
+def _aggregate(draw):
+    means = draw(st.lists(_any_floats, min_size=4, max_size=4) | st.just([None] * 4))
+    return DisciplineAggregate(draw(_json_names), *means, *draw(st.lists(_any_floats, min_size=4, max_size=4)))
+
+
+@st.composite
+def _reports(draw):
+    names = draw(st.lists(_json_names, max_size=5))
+    kind = draw(st.sampled_from(["profile", "partition", "table", "split", "association", "aggregate",
+                                 "aggregates", "change", "manipulation"]))
+    if kind == "profile":
+        profiles = [_profiles(draw) for _ in names]
+        return ProfileReport(tuple(zip(names, profiles + draw(st.permutations(profiles)))))
+    if kind == "partition":
+        return PartitionReport(tuple((name, HCorePartition(*draw(st.lists(_ints, min_size=4, max_size=4)),
+                                                           *draw(st.lists(_any_floats, min_size=4, max_size=4))))
+                                     for name in names), _aggregate(draw))
+    if kind in ("table", "split"):
+        kinds = INDEX_NAMES if kind == "table" else ("H1", "H2", "H3", "H4", "G1", "G2", "G3", "G4")
+        columns = {key: [draw(_ints if key in ("T", "h", "g", "H1", "H2", "H3", "H4")
+                              else st.none() if key == "A" and draw(st.booleans()) else _any_floats)
+                          for _ in names] for key in kinds}
+        return CohortTable(names, columns, None if kind == "table" else _aggregate(draw))
+    if kind == "association":
+        cells = [AssociationReport((draw(_json_names), draw(_json_names)), *draw(st.lists(_any_floats, min_size=3,
+                                   max_size=3)), draw(st.sampled_from(list(Significance)))) for _ in names]
+        return AssociationTable("x", "caption", ("j",), ("jS",), tuple(cells))
+    if kind == "aggregate":
+        return _aggregate(draw)
+    if kind == "aggregates":
+        with_h = draw(st.booleans())
+        rows = [_aggregate(draw) for _ in names]
+        return AggregateTable("T5", "caption", tuple(row if with_h else dataclasses.replace(
+            row, mean_h1=None, mean_h2=None, mean_h3=None, mean_h4=None) for row in rows))
+    ranks = st.lists(_any_floats, min_size=2, max_size=2)
+    change = RankChangeReport(draw(_json_names), tuple((a, b, tuple(draw(ranks))) for a, b in zip(names, names[1:])),
+                              tuple((name, *draw(ranks)) for name in names), draw(_ints))
+    if kind == "change":
+        return change
+    index = draw(st.sampled_from(INDEX_NAMES))
+    values = _ints if index in ("T", "h", "g") else _any_floats
+    columns = [tuple(draw(values if i % 2 == 0 else _any_floats) for _ in names) for i in range(4)]
+    return ManipulationReport(index, draw(st.sampled_from(list(ManipulationMode))), tuple(names), columns[0],
+                              columns[2], columns[1], columns[3], change)
+
+
+def _reference_json_lines(report):
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    lines = []
+    for part in reports._view(report).parts:
+        if "json-lines" in part.formats:
+            converters = [reports._CELLS[kind][1] or (lambda value: value) for _, kind in part.columns]
+            lines += [encode({key: convert(value) for (key, _), convert, value in zip(part.columns, converters, row)})
+                      for row in zip(*part.values)]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(_reports())
+def test_json_lines_are_the_rows_as_json_writes_dicts(report):
+    assert emit_report(report, "json-lines") == _reference_json_lines(report)
+
+
+def test_json_lines_of_a_real_cohort_are_the_rows_as_json_writes_dicts():
+    records = [CitationRecord.from_counts(f'r"{i}\\é', [i % 7, i % 3, 2 * i, 0][: 1 + i % 4]) for i in range(60)]
+    cited = [record for record in records if any(record.counts)]
+    reports_ = [ProfileReport(tuple((r.researcher_id, index_profile(r)) for r in records)),
+                PartitionReport(tuple((r.researcher_id, h_core_partition(r)) for r in cited),
+                                discipline_aggregate(cited)),
+                *(reproduce_table(t) for t in range(1, 6))]
+    for report in reports_:
+        assert emit_report(report, "json-lines") == _reference_json_lines(report)

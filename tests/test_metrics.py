@@ -1,15 +1,27 @@
 """Indicator tests: frozen examples checked against independent oracles,
 plus property tests over randomized citation lists."""
 
+import copy
+import dataclasses
+import enum
+import io
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibindex import (
     CitationRecord,
+    HCorePartition,
+    IndexProfile,
+    ManipulationMode,
+    apply_manipulation,
     a_index,
     g_index,
     h_core_partition,
@@ -17,10 +29,15 @@ from bibindex import (
     index_profile,
     j_index,
     js_index,
+    parse_citations_csv,
+    parse_citations_wide,
     r_index,
+    records_to_csv,
     smooth,
     total_citations,
 )
+from bibindex.io import csv_field
+from bibindex.metrics import MAX_COUNT, _a_and_r, _kernel
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -380,3 +397,124 @@ def test_record_totals_and_cited_counts():
     assert record.total_publications == 10
     assert record.cited_count == 2
     assert record.cited_counts == (5, 3)
+
+
+# ---------------------------------------------------------------------------
+# objects built without running __init__ again behave as the constructors' do
+
+
+def assert_like_constructed(built, constructed):
+    """``built`` has the type, value, hash, repr, attribute layout and dataclass behaviour of ``constructed``."""
+    assert type(built) is type(constructed)
+    assert built == constructed and hash(built) == hash(constructed) and repr(built) == repr(constructed)
+    names = [field.name for field in dataclasses.fields(constructed)]
+    assert [field.name for field in dataclasses.fields(built)] == names
+    assert list(vars(built)) == list(vars(constructed)) == names  # set in field order, as __init__ sets them
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), dataclasses.replace(built)):
+        assert type(copied) is type(constructed) and copied == constructed
+    assert dataclasses.asdict(built) == dataclasses.asdict(constructed)
+    first = getattr(constructed, names[0])
+    assert dataclasses.replace(built, **{names[0]: first}) == constructed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, names[0], first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(built, names[-1])
+
+
+# names the csv module reads on every supported Python (3.10 rejects NUL)
+_record_names = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), min_size=1,
+                        max_size=8).filter(lambda name: name == name.strip() and name)
+
+
+@given(_record_names, zero_heavy_lists, st.integers(0, 3))
+def test_fast_builds_match_the_public_constructors(name, counts, uncited):
+    ordered, total = tuple(sorted(counts, reverse=True)), len(counts) + uncited
+    record = CitationRecord.from_counts(name, counts, total)
+    assert_like_constructed(record, CitationRecord(name, ordered, total))
+    assert_like_constructed(CitationRecord(name, list(ordered), total), CitationRecord(name, ordered, total))
+
+    kept = tuple(c for c in ordered if c != 1)
+    assert_like_constructed(apply_manipulation(record, ManipulationMode.DROP_SINGLETONS),
+                            CitationRecord(name, kept, total - (len(ordered) - len(kept))))
+    assert_like_constructed(apply_manipulation(record, ManipulationMode.DECREMENT_ALL),
+                            CitationRecord(name, tuple(c - 1 for c in ordered if c >= 2), total))
+
+    t, h, core, g, j, js = _kernel(ordered)
+    profile = IndexProfile(t, h, g, Fraction(core, h) if h else None, math.sqrt(core), j, js)
+    assert_like_constructed(index_profile(record), profile)
+    assert_like_constructed(index_profile(record), profile)  # the second from the A and R cache
+    if t:
+        partition = HCorePartition(core, h * h, core - h * h, t - core, core / t, h * h / t, (core - h * h) / t,
+                                   (t - core) / t)
+        assert_like_constructed(h_core_partition(record), partition)
+
+    if counts:
+        long_text = records_to_csv([record])
+        wide_text = ",".join([csv_field(name), *map(str, counts)]) + "\n"
+        assert_like_constructed(parse_citations_csv(io.StringIO(long_text, newline=""))[0], record)
+        assert_like_constructed(parse_citations_wide(io.StringIO(wide_text, newline=""))[0],
+                                CitationRecord(name, ordered, len(counts)))
+
+
+def test_a_cache_is_bounded_and_shares_equal_values():
+    record = rec([9, 9, 9, 2])
+    assert index_profile(record).a is index_profile(rec([9, 9, 9, 1])).a  # one Fraction per (core, h)
+    assert 0 < _a_and_r.cache_info().maxsize <= 1 << 14
+
+
+def test_profiles_built_concurrently_equal_profiles_built_in_turn():
+    records = [rec([(7 * i) % 23, i % 5, (3 * i) % 11, 1]) for i in range(1500)]
+    expected = [index_profile(record) for record in records]
+    results = {}
+
+    def work(worker):
+        results[worker] = [index_profile(record) for record in records]
+
+    _a_and_r.cache_clear()  # the workers race to fill the shared cache
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(results[n] == expected for n in range(6))
+    assert _a_and_r.cache_info().currsize <= _a_and_r.cache_info().maxsize
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class _Record(CitationRecord):
+    """A subclass: ``from_counts`` builds one through its constructor."""
+
+
+_odd_counts = (st.integers(-2, 12) | st.sampled_from([MAX_COUNT, MAX_COUNT + 1]) | st.booleans()
+               | st.integers(0, 12).map(np.int64) | st.sampled_from(list(_Level)) | st.floats(0, 12))
+_odd_totals = (st.none() | st.integers(-1, 8) | st.booleans() | st.integers(0, 8).map(np.int64)
+               | st.sampled_from([_Level.HIGH, MAX_COUNT + 1, MAX_COUNT + 9, 10**12]) | st.floats(0, 8))
+_odd_names = st.sampled_from(["a", "Doe, Jane", "é", "", " ", " a", "a\t", "\na", 5, None])
+
+
+def _built(build):
+    try:
+        return build()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@given(_odd_names, st.lists(_odd_counts, max_size=5), _odd_totals, st.sampled_from([CitationRecord, _Record]))
+def test_from_counts_builds_or_fails_as_the_constructor_does(name, counts, total, cls):
+    ordered = tuple(sorted(counts, reverse=True))
+    expected = _built(lambda: cls(name, ordered, len(ordered) if total is None else total))
+    built = _built(lambda: cls.from_counts(name, counts, total))
+    assert type(built) is type(expected) and built == expected
+    if not isinstance(built, str):
+        assert_like_constructed(built, expected)
+        assert set(map(type, built.counts)) <= {int} and type(built.total_publications) is int

@@ -19,9 +19,12 @@ from bibindex import (
     CitationRecord,
     ProfileReport,
     RankChangeReport,
+    apply_manipulation,
     discipline_aggregate,
     emit_report,
     index_profile,
+    manipulation_report,
+    rank_change_report,
     reproduce_table,
 )
 from bibindex import cli, ranking
@@ -48,6 +51,9 @@ def library_reports() -> dict:
                CitationRecord.from_counts('Li "Lee" Wu', [4, 4, 4, 4]),
                CitationRecord.from_counts("ann", [10, 8, 5, 1, 1])]
     cited = [records[0], records[2], records[3]]
+    moved = records + [CitationRecord.from_counts("bob", [3, 2, 1, 1, 1, 1, 1, 1, 1]),
+                       CitationRecord.from_counts("cy", [6, 2, 2])]
+    decremented = [apply_manipulation(r, "decrement_all") for r in moved]
     return {
         "profile": ProfileReport(tuple((r.researcher_id, index_profile(r)) for r in records)),
         "rank-change": RankChangeReport(
@@ -59,6 +65,10 @@ def library_reports() -> dict:
         "aggregate-table": AggregateTable(
             "golden", "Pooled h-core shares",
             (discipline_aggregate(cited, "golden"), discipline_aggregate(cited[:1], "Doe, Jane"))),
+        "manipulation-T-drop-singletons": manipulation_report(moved, "drop_singletons", "T"),
+        "manipulation-A-drop-singletons": manipulation_report([moved[0], *moved[2:]], "drop_singletons", "A"),
+        "manipulation-j-decrement": manipulation_report(moved, "decrement_all", "j"),
+        "rank-change-h-decrement": rank_change_report(moved, decremented, "h"),
     }
 
 
@@ -79,6 +89,13 @@ CASES = [(case, fmt) for case in [*CLI_CASES, *library_reports()] for fmt in FOR
 def test_golden_output(case, fmt):
     expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
     assert render(case, fmt).encode("utf-8") == expected
+
+
+def test_manipulation_reports_hold_floats():
+    reports = [report for case, report in library_reports().items() if case.startswith("manipulation-")]
+    assert len(reports) == 3
+    for report in reports:
+        assert {type(v) for v in report.before_values + report.after_values} == {float}
 
 
 @pytest.mark.parametrize("threshold", [0, 10**12], ids=["arrays", "plain"])

@@ -226,6 +226,20 @@ def test_hcore_uncited_researcher_is_data_error(capsys, tmp_path):
     assert "no citations" in err
 
 
+@pytest.mark.parametrize("threshold", [0, 10**12], ids=["columns", "records"])
+@pytest.mark.parametrize("text,argv,message", [
+    (COHORT + "dan,0\n", ["compare", "--left", "A"], "A is undefined for records with h = 0"),
+    (COHORT + "dan,0\n", ["manipulate", "--index", "A", "--mode", "decrement"], "A is undefined for records with h = 0"),
+    ("researcher,citations\nann,3\n", ["compare"], "association measures need at least two researchers"),
+    ("researcher,citations\nann,3\nbob,2\n", ["compare"], "significance test needs n >= 3"),
+])
+def test_cohort_errors_are_data_errors_on_both_paths(capsys, monkeypatch, tmp_path, threshold, text, argv, message):
+    path = tmp_path / "cohort.csv"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "_COLUMNS_FROM", threshold)
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", f"error: {message}\n")
+
+
 def test_manipulate_drop_singletons(capsys, cohort_file):
     status, out, _ = run(capsys, "manipulate", cohort_file, "--mode", "drop-singletons")
     assert status == 0

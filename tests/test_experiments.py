@@ -113,6 +113,39 @@ def test_rank_change_roster_mismatch():
         rank_change_report([rec("a", [1])], [rec("b", [1])], "j")
 
 
+_EMPTY = "values must be a non-empty one-dimensional sequence"
+_UNDEFINED_A = "A is undefined for records with h = 0"
+_CEILING = "total_publications cannot exceed the stored counts by more than 1000000000"
+
+
+@pytest.mark.parametrize("work,message", [
+    (lambda: manipulation_report([], "drop_singletons", "j"), _EMPTY),
+    (lambda: manipulation_report([], "decrement_all", "zz"), _EMPTY),
+    (lambda: manipulation_report([], "decrement_all", "A"), _EMPTY),
+    (lambda: manipulation_report([rec("a", [3, 2])], "decrement_all", "zz"), "unknown index name: 'zz'"),
+    (lambda: manipulation_report([rec("a", [3, 2])], "decrement_all", "core"), "unknown index name: 'core'"),
+    (lambda: manipulation_report([rec("a", [3, 2]), rec("b", [0])], "decrement_all", "zz"),
+     "unknown index name: 'zz'"),
+    (lambda: manipulation_report([rec("a", [3, 2]), rec("b", [0])], "decrement_all", "A"), _UNDEFINED_A),
+    (lambda: manipulation_report([rec("a", [3, 2]), rec("b", [1, 1, 1])], "drop_singletons", "A"), _UNDEFINED_A),
+    # the transform fails before any index is read
+    (lambda: manipulation_report([rec("b", [0]), rec("c", [1, 1], 10**9 + 1)], "decrement_all", "zz"), _CEILING),
+    (lambda: manipulation_report([rec("b", [0]), rec("c", [1, 1], 10**9 + 1)], "decrement_all", "A"), _CEILING),
+    (lambda: rank_change_report([], [], "h"), _EMPTY),
+    (lambda: rank_change_report([], [], "zz"), _EMPTY),
+    (lambda: rank_change_report([rec("a", [1])], [rec("b", [1])], "zz"), "rosters differ between the two cohorts"),
+    (lambda: rank_change_report([rec("a", [1])], [rec("a", [1])], "zz"), "unknown index name: 'zz'"),
+    (lambda: rank_change_report([rec("a", [1]), rec("b", [0])], [rec("a", [1]), rec("b", [2])], "A"),
+     _UNDEFINED_A),
+    (lambda: rank_change_report([rec("a", [1]), rec("b", [2])], [rec("a", [1]), rec("b", [0])], "A"),
+     _UNDEFINED_A),
+])
+def test_cohort_reports_raise_in_order(work, message):
+    with pytest.raises(ValueError) as err:
+        work()
+    assert str(err.value) == message
+
+
 def _reference_diff_rankings(before, after, index_name):
     """The quadratic partner scan that ``_diff_rankings`` replaced."""
     changed = [i for i in range(len(before)) if before.ranks[i] != after.ranks[i]]

@@ -149,11 +149,12 @@ def manipulated(columns: Columns, mode: ManipulationMode) -> Columns:
     keep = counts != 1 if drop else counts >= 2
     kept = _per(keep, offsets)
     totals = columns.totals - (np.diff(offsets) - kept) if drop else columns.totals
-    if (totals - kept > MAX_COUNT).any():  # a decrement keeps the total: CitationRecord refuses it
-        raise ValueError(f"total_publications cannot exceed the stored counts by more than {MAX_COUNT}")
     counts = counts[keep]
     counts -= 0 if drop else 1
-    return Columns(columns.names, counts, np.concatenate(([0], np.cumsum(kept))), totals)
+    offsets = np.concatenate(([0], np.cumsum(kept)))
+    for i in np.flatnonzero(totals - kept > MAX_COUNT)[:1].tolist():  # CitationRecord refuses the first over its ceiling
+        CitationRecord(columns.names[i], tuple(counts[offsets[i]:offsets[i + 1]].tolist()), int(totals[i]))
+    return Columns(columns.names, counts, offsets, totals)
 
 
 def kernel(columns: Columns, roots: bool | str = True) -> list[np.ndarray]:

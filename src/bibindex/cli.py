@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -15,13 +14,14 @@ from .experiments import (
     AssociationTable,
     ManipulationMode,
     _manipulation_report,
+    _names,
     _partitions,
-    apply_manipulation,
+    _table,
     reproduce_table,
 )
 from .io import ParseError, parse_citations_csv, parse_citations_wide
-from .metrics import INDEX_NAMES, _kernel
-from .ranking import association_grid, rank_descending
+from .metrics import INDEX_NAMES
+from .ranking import _ranked, association_grid
 from .reports import FORMATS, CohortTable, emit_report
 
 _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
@@ -116,54 +116,24 @@ def _cohort(args):
     return columns or _columns.from_records(_load_records(args))
 
 
-def _table(cohort, mode=None, roots=True) -> dict[str, list]:
-    """The cohort's ``metrics._kernel`` values by name, T, h, core, g, A (None where h = 0), R,
-    j and jS (0.0 without ``roots``), after a manipulation if given; on columns, j alone for "j"."""
-    if isinstance(cohort, list):
-        records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
-        columns = [list(column) for column in zip(*(_kernel(record.counts, roots=roots) for record in records))]
-    else:
-        from . import _columns
-        cohort = cohort if mode is None else _columns.manipulated(cohort, mode)
-        if roots == "j":
-            return {"j": _columns.kernel(cohort, "j")[0].tolist()}
-        columns = [column.tolist() for column in _columns.kernel(cohort, roots)]
-    table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns))
-    table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]
-    table["R"] = list(map(math.sqrt, table["core"]))
-    return table
-
-
-def _column(table: dict[str, list], name: str) -> list:
-    """A column to rank: only A can be undefined, where h = 0."""
-    if None in table[name]:
-        raise ValueError("A is undefined for records with h = 0")
-    return table[name]
-
-
 def _run(args) -> str:
     if args.command == "reproduce":
         return emit_report(reproduce_table(args.table), args.format)
 
     cohort = _cohort(args)
-    names = [record.researcher_id for record in cohort] if isinstance(cohort, list) else cohort.names
     if args.command == "indices":
-        return emit_report(CohortTable(names, _table(cohort)), args.format)
+        return emit_report(CohortTable(_names(cohort), _table(cohort, INDEX_NAMES)), args.format)
 
     if args.command == "compare":
-        table = _table(cohort)
-        reports = association_grid(args.left, args.right, lambda name: rank_descending(
-            _column(table, name), index_name=name, ids=names))
+        table, names = _table(cohort, args.left + args.right), _names(cohort)
+        reports = association_grid(args.left, args.right, lambda name: _ranked(table[name], name, names))
         caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
         return emit_report(AssociationTable("compare", caption, args.left, args.right, tuple(reports)), args.format)
 
     if args.command == "hcore":
-        return emit_report(CohortTable(names, *_partitions(_table(cohort, roots=False))), args.format)
+        return emit_report(CohortTable(_names(cohort), *_partitions(cohort)), args.format)
 
-    # manipulate
-    mode, roots = _MODES[args.mode], "j" if args.index == "j" else args.index == "jS"
-    before, after = (_column(_table(cohort, m, roots), args.index) for m in (None, mode))
-    return emit_report(_manipulation_report(names, mode, args.index, before, after), args.format)
+    return emit_report(_manipulation_report(cohort, _MODES[args.mode], args.index), args.format)
 
 
 def cli_dispatch(argv) -> int:

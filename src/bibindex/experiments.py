@@ -4,20 +4,22 @@ pooled h-core aggregates, and the reference comparison tables T1..T5."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from operator import attrgetter, sub, truediv
 from typing import Iterable, Sequence
 
 from .io import CohortDataset, load_bundled_dataset
 from .metrics import (
+    INDEX_FIELDS,
     MAX_COUNT,
     CitationRecord,
     HCorePartition,
     h_core_partition,
+    _kernel,
     _record,
-    index_profile,
 )
-from .ranking import AssociationReport, Ranking, association_grid, rank_descending, rank_untied
+from .ranking import AssociationReport, Ranking, _ranked, association_grid, rank_untied
 
 
 class ManipulationMode(enum.Enum):
@@ -175,8 +177,8 @@ def rank_change_report(cohort_before: Sequence[CitationRecord],
     ids_after = tuple(r.researcher_id for r in cohort_after)
     if ids_before != ids_after:
         raise ValueError("rosters differ between the two cohorts")
-    before, after = (rank_descending([index_profile(r).value(index_name) for r in cohort],
-                                     index_name=index_name, ids=ids_before) for cohort in (cohort_before, cohort_after))
+    before, after = (_ranked(_table(list(cohort), (index_name,)).get(index_name, []), index_name, ids_before)
+                     for cohort in (cohort_before, cohort_after))
     return _diff_rankings(before, after, index_name)
 
 
@@ -184,19 +186,45 @@ def manipulation_report(cohort: Sequence[CitationRecord],
                         mode: ManipulationMode | str,
                         index_name: str = "j") -> ManipulationReport:
     """Apply a transform to a whole cohort and report the ranking effect."""
-    mode = ManipulationMode(mode)
-    transformed = [apply_manipulation(r, mode) for r in cohort]
-    before, after = ([index_profile(r).value(index_name) for r in c] for c in (cohort, transformed))
-    return _manipulation_report(tuple(r.researcher_id for r in cohort), mode, index_name, before, after)
+    return _manipulation_report(list(cohort), ManipulationMode(mode), index_name)
 
 
-def _manipulation_report(ids: Sequence[str], mode: ManipulationMode, index_name: str,
-                         before_values: Sequence[float], after_values: Sequence[float]) -> ManipulationReport:
-    """Rank a cohort's index values before and after a transform, and diff the rankings."""
-    before = rank_descending(before_values, index_name=index_name, ids=ids)
-    after = rank_descending(after_values, index_name=index_name, ids=ids)
-    return ManipulationReport(index_name, mode, before.ids, tuple(before_values), tuple(after_values),
-                              before.ranks, after.ranks, _diff_rankings(before, after, index_name))
+def _manipulation_report(cohort, mode: ManipulationMode, index_name: str) -> ManipulationReport:
+    """Rank a ``_table`` cohort's index values before and after a transform, and diff the rankings."""
+    after_values = _table(cohort, (index_name,), mode).get(index_name, [])  # a refused transform fails first
+    before_values = _table(cohort, (index_name,)).get(index_name, [])
+    before, after = (_ranked(values, index_name, _names(cohort)) for values in (before_values, after_values))
+    return ManipulationReport(index_name, mode, before.ids, tuple(map(float, before_values)),
+                              tuple(map(float, after_values)), before.ranks, after.ranks,
+                              _diff_rankings(before, after, index_name))
+
+
+def _names(cohort) -> list[str]:
+    """The researchers of a list of records or of ``_columns.Columns``, in roster order."""
+    return [record.researcher_id for record in cohort] if isinstance(cohort, list) else cohort.names
+
+
+def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None) -> dict[str, list]:
+    """``metrics._kernel`` of each researcher of a list of records or ``_columns.Columns``, after ``mode`` if
+    given, as columns T, h, core (the h-core's citations), g, A (None where h = 0), R, j and jS, for the caller
+    to read ``indices``.  Roots are taken only for j or jS, else both read 0.0; on columns, j alone for ("j",)."""
+    roots = "j" if tuple(indices) == ("j",) else not {"j", "jS"}.isdisjoint(indices)
+    if isinstance(cohort, list):
+        records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
+        columns = [list(column) for column in zip(*(_kernel(record.counts, roots=bool(roots)) for record in records))]
+    else:
+        from . import _columns
+        cohort = cohort if mode is None else _columns.manipulated(cohort, mode)
+        if roots == "j":
+            return {"j": _columns.kernel(cohort, "j")[0].tolist()}
+        columns = [column.tolist() for column in _columns.kernel(cohort, roots)]
+    table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns or [[]] * 6))
+    table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]
+    table["R"] = list(map(math.sqrt, table["core"]))
+    unknown = [name for name in indices if name not in INDEX_FIELDS]
+    if unknown and table["T"]:  # after a refused transform; an empty cohort fails in its ranking
+        raise ValueError(f"unknown index name: {unknown[0]!r}")
+    return table
 
 
 def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
@@ -215,8 +243,9 @@ def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
     return _aggregate(discipline, len(parts), [sum(map(attrgetter(f), parts)) for f in ("h1", "h2", "h3", "h4")])
 
 
-def _partitions(table: dict[str, list]) -> tuple[dict[str, list], DisciplineAggregate]:
-    """``h_core_partition`` of each researcher of a T, h, core table as columns H1..G4, and the aggregate."""
+def _partitions(cohort) -> tuple[dict[str, list], DisciplineAggregate]:
+    """``h_core_partition`` of each researcher of a ``_table`` cohort as columns H1..G4, and the aggregate."""
+    table = _table(cohort, ("T", "h"))
     total, h1 = table["T"], table["core"]
     if 0 in total:
         raise ValueError("no citations: partition proportions are undefined")

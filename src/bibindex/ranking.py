@@ -156,6 +156,13 @@ def rank_descending(values: Sequence[float], *, index_name: str = "value",
     return _ranking(index_name, ids, ranks)
 
 
+def _ranked(values: Sequence, name: str, ids: Sequence[str] | None) -> Ranking:
+    """``rank_descending`` of an index column, whose only undefined values are A's None where h = 0."""
+    if None in values:
+        raise ValueError("A is undefined for records with h = 0")
+    return rank_descending(values, index_name=name, ids=ids)
+
+
 def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float], *,
                 index_name: str = "value", ids: Sequence[str] | None = None) -> Ranking:
     """Untied ranks 1..n with rank 1 for the largest value.
@@ -167,12 +174,8 @@ def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float],
     """
     if not len(values) == len(h) == len(t):
         raise ValueError("values, h and t must have the same shape")
-    negated = _negated(values)
-    if isinstance(negated, list):  # a stable sort on (-value, -h, -T)
-        order = sorted(range(len(negated)), key=lambda i: (negated[i], -float(h[i]), -float(t[i])))
-    else:  # lexsort is stable and sorts by its last key first
-        import numpy as np
-        order = np.lexsort((np.negative(t, dtype=float), np.negative(h, dtype=float), negated)).tolist()
+    negated = _negated(values)  # a stable sort on (-value, -h, -T)
+    order = sorted(range(len(negated)), key=lambda i: (negated[i], -float(h[i]), -float(t[i])))
     ranks = [0.0] * len(order)
     for position, i in enumerate(order, start=1):
         ranks[i] = float(position)
@@ -358,10 +361,5 @@ def association_matrix(cohort: Sequence[IndexProfile], left: Sequence[str],
             raise ValueError(f"unknown index name: {name!r}")
     if ids is not None:
         ids = tuple(ids)
-    def rank(name: str) -> Ranking:
-        values = list(map(attrgetter(INDEX_FIELDS[name]), cohort))
-        if None in values:
-            raise ValueError("A is undefined for records with h = 0")
-        return rank_descending(values, index_name=name, ids=ids)
-
-    return association_grid(left, right, rank)
+    return association_grid(left, right, lambda name: _ranked(
+        list(map(attrgetter(INDEX_FIELDS[name]), cohort)), name, ids))

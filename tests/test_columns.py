@@ -191,11 +191,15 @@ def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columna
     records = _cohort(drawn)
     cohort = _columns.from_records(records) if columnar else records
     with _small_blocks(data):
-        table = cli._table(cohort)
-        split = _outcome(lambda: experiments._partitions(cli._table(cohort, roots=False)))
+        table = experiments._table(cohort, INDEX_NAMES)
+        rootless = experiments._table(cohort, ("T", "h", "g"))
+        j = experiments._table(cohort, ("j",))
+        split = _outcome(lambda: experiments._partitions(cohort))
     profiles = [index_profile(r) for r in records]
     assert table["A"] == [None if p.a is None else float(p.a) for p in profiles]
     assert all(table[name] == [getattr(p, INDEX_FIELDS[name]) for p in profiles] for name in INDEX_NAMES if name != "A")
+    assert rootless == {**table, "j": [0.0] * len(records), "jS": [0.0] * len(records)}
+    assert j == ({"j": table["j"]} if columnar else table)  # columns take the j sums alone
 
     def library():
         parts = [h_core_partition(r) for r in records]
@@ -224,7 +228,7 @@ def test_kernel_edge_records():
     rows = _kernel_rows(columns)
     assert rows == [_kernel(r.counts) for r in records] and rows[2][3] == 10
     with pytest.raises(ValueError, match="^no citations: partition proportions are undefined$"):
-        experiments._partitions(cli._table(columns, roots=False))
+        experiments._partitions(columns)
 
 
 def _falls_back_past(guard, value):

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 MAX_COUNT = 10**9  # T then fits in int64 and converts to float exactly up to about 9M counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationRecord:
     """One researcher's citation counts, sorted in descending order.
 
@@ -94,7 +94,7 @@ def _checked(name, counts: tuple, total, ordered: bool = False) -> tuple[tuple[i
     return counts, total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexProfile:
     """All indicators computed from one citation record.
 
@@ -135,7 +135,7 @@ INDEX_FIELDS = {
 INDEX_NAMES = tuple(INDEX_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HCorePartition:
     """Split of a researcher's citations around the h-core.
 
@@ -156,15 +156,24 @@ class HCorePartition:
 
 
 def _builder(cls):
-    """A fast ``cls(*values)``: no ``__init__`` or checks, ``object.__setattr__`` in field order as ``__init__``."""
+    """A fast ``cls(*values)``: no ``__init__`` or checks, each slot set through its member descriptor in field order."""
     names = [field.name for field in fields(cls)]
-    source = [f"def build({', '.join(names)}):", " _obj = _new(_cls)", " _put = _setattr.__get__(_obj)",
-              *(f" _put({name!r}, {name})" for name in names), " return _obj"]
-    scope = {"_new": object.__new__, "_setattr": object.__setattr__, "_cls": cls}
+    source = [f"def build({', '.join(names)}):", " _obj = _new(_cls)",
+              *(f" _set_{name}(_obj, {name})" for name in names), " return _obj"]
+    scope = {"_new": object.__new__, "_cls": cls, **{f"_set_{name}": cls.__dict__[name].__set__ for name in names}}
     exec("\n".join(source), scope)
     return scope["build"]
 
 
+def _setstate(self, state):
+    """Pickle state: the field values in order, or the field dict that the earlier dict-backed classes wrote
+    (whose keys dataclasses' own ``__setstate__`` would set as the values)."""
+    names = [field.name for field in fields(self)]
+    for name, value in zip(names, map(state.__getitem__, names) if isinstance(state, dict) else state):
+        object.__setattr__(self, name, value)
+
+
+CitationRecord.__setstate__ = IndexProfile.__setstate__ = HCorePartition.__setstate__ = _setstate
 _record, _profile, _partition = map(_builder, (CitationRecord, IndexProfile, HCorePartition))
 
 

@@ -11,9 +11,10 @@ two plain layouts that are not tables.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from functools import partial, singledispatch
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -55,17 +56,17 @@ def _rank(value: float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.1f}"
 
 
-# (text cell, json value) per cell kind; a json converter of None keeps the
-# value as it is.  Index values use the index names as kinds; "mean" is a
-# cohort mean of H values, "share" an association measure or G proportion.
+# (text cell, json value) per cell kind; a json converter of None keeps the value as it is, and a number n
+# rounds it to n digits.  Index values use the index names as kinds; "mean" is a cohort mean of H values,
+# "share" an association measure or G proportion.
 _CELLS = {
     "str": (str, None),
     **dict.fromkeys(("T", "h", "g"), ("%d".__mod__, int)),
     "A": (lambda a: "-" if a is None else "%.2f" % a,  # undefined when h = 0
           lambda a: None if a is None else round(float(a), 2)),
-    **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, partial(round, ndigits=2))),
-    **dict.fromkeys(("j", "jS"), ("%.1f".__mod__, partial(round, ndigits=1))),
-    "share": (lambda x: f"{x + 0.0:.3f}", partial(round, ndigits=3)),  # text never -0.000
+    **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, 2)),
+    **dict.fromkeys(("j", "jS"), ("%.1f".__mod__, 1)),
+    "share": (lambda x: f"{x + 0.0:.3f}", 3),  # text never -0.000
     "rank": (_rank, None),
 }
 _share = _CELLS["share"][0]
@@ -124,27 +125,32 @@ def _csv(view: _View) -> str:
     return "\n".join([",".join(map(csv_field, row)) for row in _text_rows(view, "csv")])
 
 
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
 def _json_texts(kind: str, column: Sequence) -> Iterable:
-    """A column's cells as ``_encode`` writes their json values, finite floats by repr; an int kind's as they
-    are, for %d.  Each distinct A or R object is converted once: ``index_profile`` shares them."""
+    """A column's cells as json's encoder writes their json values, finite floats by repr; an int kind's as they
+    are, for %d.  A column of str alone, or of finite floats alone, is written without a test per cell.  Each
+    distinct A or R object is converted once: ``index_profile`` shares them."""
+    from json.encoder import JSONEncoder, encode_basestring  # only json-lines output loads json
     convert = _CELLS[kind][1]
     if convert is int:
         return column
+    if convert is None and {str}.issuperset(map(type, column)):
+        return map(encode_basestring, column)
     cells = dict(zip(map(id, column), column)) if kind in ("A", "R") else None
-    values = column if cells is None else cells.values()
-    values = values if convert is None else map(convert, values)
-    texts = (repr(v) if type(v) is float and v - v == 0 else _encode(v) for v in values)
+    values = column if cells is None else list(cells.values())
+    if convert is not None:
+        values = list(map(round, values, repeat(convert)) if type(convert) is int else map(convert, values))
+    floats = {float}.issuperset(map(type, values)) and math.isfinite(sum(values))  # finite only if every value is
+    encode = JSONEncoder(ensure_ascii=False).encode
+    texts = map(repr, values) if floats else (repr(v) if type(v) is float and v - v == 0 else encode(v) for v in values)
     return texts if cells is None else map(dict(zip(cells, texts)).__getitem__, map(id, column))
 
 
 def _json_lines(view: _View) -> str:
+    from json.encoder import encode_basestring
     lines = []
     for part in view.parts:
         if "json-lines" in part.formats:
-            line = "{%s}" % ", ".join(_encode(key) + (": %d" if _CELLS[kind][1] is int else ": %s")
+            line = "{%s}" % ", ".join(encode_basestring(key) + (": %d" if _CELLS[kind][1] is int else ": %s")
                                       for key, kind in part.columns)
             lines += map(line.__mod__, zip(*[_json_texts(kind, column)
                                              for (_, kind), column in zip(part.columns, part.values)]))

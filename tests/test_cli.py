@@ -317,28 +317,37 @@ def test_indices_csv_quotes_carriage_return_in_name(capsys, tmp_path):
     assert {len(row) for row in rows} == {8}
 
 
-def _numpy_imported_after(*runs):
-    """Whether a fresh interpreter holds numpy after importing bibindex and dispatching each argv."""
-    code = ("import contextlib, io, json, sys, bibindex, bibindex.cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
+def _imported_after(module, *runs):
+    """Whether a fresh interpreter holds ``module`` after importing bibindex and dispatching each argv."""
+    code = ("import ast, contextlib, io, sys, bibindex, bibindex.cli\n"  # not json: it is one of the modules asked
+            "for argv in ast.literal_eval(sys.argv[2]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert bibindex.cli.cli_dispatch(argv) == 0, argv\n"
-            "print('numpy' in sys.modules)")
+            "print(sys.argv[1] in sys.modules)")
     src = str(Path(bibindex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code, module, repr(runs)], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return {"True": True, "False": False}[done.stdout.strip()]
 
 
-def test_numpy_is_imported_only_for_a_large_file(tmp_path):
+def _small_runs(*options):
     golden = str(Path(__file__).parent / "data" / "golden_cohort.csv")
-    small = [*(["reproduce", "--table", str(n)] for n in range(1, 6)),
-             *([command, golden] for command in ("indices", "compare", "hcore")),
-             *(["manipulate", golden, "--mode", mode] for mode in ("drop-singletons", "decrement"))]
-    assert not _numpy_imported_after(*small)
+    return [*(["reproduce", "--table", str(n), *options] for n in range(1, 6)),
+            *([command, golden, *options] for command in ("indices", "compare", "hcore")),
+            *(["manipulate", golden, "--mode", mode, *options] for mode in ("drop-singletons", "decrement"))]
+
+
+def test_numpy_is_imported_only_for_a_large_file(tmp_path):
+    assert not _imported_after("numpy", *_small_runs())
     rows = (f"r{i % 500},{i % 9 + 1}\n" for i in range(cli._COLUMNS_FROM // 4))  # 5 bytes or more each
     large = tmp_path / "large.csv"
     large.write_text("researcher,citations\n" + "".join(rows), encoding="utf-8")
     assert large.stat().st_size >= cli._COLUMNS_FROM
-    assert _numpy_imported_after(["hcore", str(large)])
+    assert _imported_after("numpy", ["hcore", str(large)])
+
+
+def test_json_is_imported_only_for_json_lines():
+    assert not _imported_after("json")
+    assert not _imported_after("json", *_small_runs("--format", "plain"), *_small_runs("--format", "csv"))
+    assert _imported_after("json", ["reproduce", "--table", "1", "--format", "json-lines"])

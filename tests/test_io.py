@@ -608,12 +608,19 @@ def _reports(draw):
                               columns[2], columns[1], columns[3], change)
 
 
+def _converter(convert):
+    """A json converter of ``_CELLS`` as a function: None keeps the value, a number n rounds it to n digits."""
+    if convert is None:
+        return lambda value: value
+    return (lambda value: round(value, convert)) if type(convert) is int else convert
+
+
 def _reference_json_lines(report):
     encode = json.JSONEncoder(ensure_ascii=False).encode
     lines = []
     for part in reports._view(report).parts:
         if "json-lines" in part.formats:
-            converters = [reports._CELLS[kind][1] or (lambda value: value) for _, kind in part.columns]
+            converters = [_converter(reports._CELLS[kind][1]) for _, kind in part.columns]
             lines += [encode({key: convert(value) for (key, _), convert, value in zip(part.columns, converters, row)})
                       for row in zip(*part.values)]
     return "\n".join(lines)

@@ -165,21 +165,24 @@ def kernel(columns: Columns, roots: bool | str = True) -> list[np.ndarray]:
     while lo < n:
         hi = min(n, max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _BLOCK_COUNTS, "right")) - 1))
         counts, offsets = columns.counts[bounds[lo]:bounds[hi]], bounds[lo:hi + 1] - bounds[lo]
-        blocks.append(_j(counts, offsets) if roots == "j" else _block(counts, offsets, roots))
+        blocks.append(_block(counts, offsets, roots))
         lo = hi
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool) -> list[np.ndarray]:
+def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool | str) -> list[np.ndarray]:
+    cited = counts > 0 if roots else np.zeros(counts.size, bool)
+    terms = _per(cited, offsets)
+    if roots == "j" and terms.max() < _TERMS:
+        return [_sums(np.sqrt(counts[cited]), np.concatenate(([0], np.cumsum(terms))))]
     lengths = np.diff(offsets)
     first = np.repeat(offsets[:-1], lengths)
     rank = np.arange(1, counts.size + 1) - first
     run = np.concatenate(([0], np.cumsum(counts)))
-    cited = (counts > 0) & roots
-    terms = _per(cited, offsets)
     if run[-1] >= _EXACT or terms.max() >= _TERMS:  # cum / rank would round, or the split sums
-        rows = [_kernel(counts[a:b].tolist(), roots=roots) for a, b in zip(offsets[:-1], offsets[1:])]
-        return [np.array(column, dtype) for column, dtype in zip(zip(*rows), [np.int64] * 4 + [float] * 2)]
+        rows = [_kernel(counts[a:b].tolist(), roots=bool(roots)) for a, b in zip(offsets[:-1], offsets[1:])]
+        columns = [np.array(column, dtype) for column, dtype in zip(zip(*rows), [np.int64] * 4 + [float] * 2)]
+        return columns[4:5] if roots == "j" else columns
     cum = run[1:] - run[first]
     total = run[offsets[1:]] - run[offsets[:-1]]
     h = _per(counts >= rank, offsets)
@@ -189,15 +192,6 @@ def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool) -> list[np.ndar
     g[wide] = [math.isqrt(t) for t in total[wide].tolist()]
     terms = np.concatenate(([0], np.cumsum(terms)))
     return [total, h, core, g, _sums(np.sqrt(counts[cited]), terms), _sums(np.sqrt(cum[cited] / rank[cited]), terms)]
-
-
-def _j(counts: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """``_block``'s j alone."""
-    cited = counts > 0
-    terms = _per(cited, offsets)
-    if terms.max() >= _TERMS:
-        return _block(counts, offsets, True)[4:5]  # which takes the scalar kernel
-    return [_sums(np.sqrt(counts[cited]), np.concatenate(([0], np.cumsum(terms))))]
 
 
 def _sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:

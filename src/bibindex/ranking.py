@@ -183,21 +183,17 @@ def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float],
 
 
 def _paired_ranks(r1: Ranking, r2: Ranking):
-    """The two rank vectors and n: tuples below ``_NUMPY_FROM`` entries, else arrays."""
+    """The two rank vectors, the positions 1..n and the sum of ``term(a[i], b[i])``: tuples, ``range`` and
+    ``math.fsum`` below ``_NUMPY_FROM`` entries, else arrays and ``np.sum``; equal while sums are exact."""
     if r1.ids != r2.ids:
         raise ValueError("rankings cover different rosters")
     n = len(r1)
     if n < 2:
         raise ValueError("association measures need at least two researchers")
-    return (r1.ranks, r2.ranks, n) if n < _NUMPY_FROM else (r1._array, r2._array, n)
-
-
-def _total(term, a, b) -> float:
-    """Sum of ``term(a[i], b[i])``: ``math.fsum`` below ``_NUMPY_FROM`` pairs, else numpy; equal while sums are exact."""
-    if len(a) < _NUMPY_FROM:
-        return math.fsum(map(term, a, b))
+    if n < _NUMPY_FROM:
+        return r1.ranks, r2.ranks, range(1, n + 1), lambda term, a, b: math.fsum(map(term, a, b))
     import numpy as np
-    return float(np.sum(term(a, b)))
+    return r1._array, r2._array, np.arange(1, n + 1, dtype=float), lambda term, a, b: float(np.sum(term(a, b)))
 
 
 def _reciprocal_gap(x, y):
@@ -206,8 +202,9 @@ def _reciprocal_gap(x, y):
 
 def spearman_rho(r1: Ranking, r2: Ranking) -> float:
     """Spearman coefficient 1 - 6*sum(d^2) / (n(n^2-1)) on the rank vectors."""
-    a, b, n = _paired_ranks(r1, r2)
-    return 1.0 - 6.0 * _total(lambda x, y: (x - y) * (x - y), a, b) / (n * (n * n - 1))
+    a, b, _, total = _paired_ranks(r1, r2)
+    n = len(a)
+    return 1.0 - 6.0 * total(lambda x, y: (x - y) * (x - y), a, b) / (n * (n * n - 1))
 
 
 def footrule(r1: Ranking, r2: Ranking) -> float:
@@ -216,8 +213,8 @@ def footrule(r1: Ranking, r2: Ranking) -> float:
     The normaliser floor(n^2/2) is the displacement of a full reversal, so
     identical rankings score 1 and reversed rankings score 0.
     """
-    a, b, n = _paired_ranks(r1, r2)
-    return 1.0 - _total(lambda x, y: abs(x - y), a, b) / (n * n // 2)
+    a, b, _, total = _paired_ranks(r1, r2)
+    return 1.0 - total(lambda x, y: abs(x - y), a, b) / (len(a) ** 2 // 2)
 
 
 def m_measure(r1: Ranking, r2: Ranking) -> float:
@@ -227,13 +224,8 @@ def m_measure(r1: Ranking, r2: Ranking) -> float:
     disagreements in the tail.  Normalised by sum_i |1/i - 1/(n-i+1)| so a
     full reversal of an untied ranking scores 0.
     """
-    a, b, n = _paired_ranks(r1, r2)
-    if n < _NUMPY_FROM:
-        i = range(1, n + 1)
-    else:
-        import numpy as np
-        i = np.arange(1, n + 1, dtype=float)
-    return 1.0 - _total(_reciprocal_gap, a, b) / _total(_reciprocal_gap, i, i[::-1])
+    a, b, i, total = _paired_ranks(r1, r2)
+    return 1.0 - total(_reciprocal_gap, a, b) / total(_reciprocal_gap, i, i[::-1])
 
 
 def _incomplete_beta_fraction(a: float, b: float, x: float) -> float:

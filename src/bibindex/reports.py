@@ -56,6 +56,11 @@ def _rank(value: float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.1f}"
 
 
+def _share(share: float) -> str:
+    text = "%.3f" % share
+    return "0.000" if text == "-0.000" else text  # a share in (-0.0005, 0] is written unsigned
+
+
 # (text cell, json value) per cell kind; a json converter of None keeps the value as it is, and a number n
 # rounds it to n digits.  Index values use the index names as kinds; "mean" is a cohort mean of H values,
 # "share" an association measure or G proportion.
@@ -66,10 +71,9 @@ _CELLS = {
           lambda a: None if a is None else round(float(a), 2)),
     **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, 2)),
     **dict.fromkeys(("j", "jS"), ("%.1f".__mod__, 1)),
-    "share": (lambda x: f"{x + 0.0:.3f}", 3),  # text never -0.000
+    "share": (_share, lambda x: round(x, 3) + 0.0),  # + 0.0 turns the -0.0 of round into 0.0
     "rank": (_rank, None),
 }
-_share = _CELLS["share"][0]
 
 
 class _Rows(NamedTuple):

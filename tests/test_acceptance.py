@@ -8,6 +8,8 @@ import math
 import random
 import time
 
+import pytest
+
 from bibindex import (
     CitationRecord,
     ManipulationMode,
@@ -22,6 +24,7 @@ from bibindex import (
     reproduce_table,
     total_citations,
 )
+from bibindex import ranking
 
 # published coefficients: (spearman, marker, footrule, M) per (row, col) pair
 TABLE_1 = {
@@ -141,6 +144,22 @@ def test_criterion_2_tables_2_to_4_reproduction():
     problems += _check_table("T4", TABLE_4)
     _report("criterion 2 (Tables 2-4 reproduction)", not problems,
             "; ".join(problems) or "all 28 cells within tolerance, markers exact")
+
+
+@pytest.mark.parametrize("threshold", [0, 10**12], ids=["arrays", "plain"])
+def test_tables_1_to_4_print_the_published_digits(monkeypatch, threshold):
+    # stricter than criteria 1 and 2: every coefficient rounds to the digits the paper printed
+    monkeypatch.setattr(ranking, "_NUMPY_FROM", threshold)
+    problems = []
+    for table_id, expected in (("T1", TABLE_1), ("T2", TABLE_2), ("T3", TABLE_3), ("T4", TABLE_4)):
+        table = reproduce_table(table_id)
+        for (row, col), (rho, _, foot, m) in expected.items():
+            cell = table.cell(row, col)
+            reproduced = (cell.spearman, cell.footrule, cell.m_measure)
+            for name, value, printed in zip(("spearman", "footrule", "M"), reproduced, (rho, foot, m)):
+                if "%.3f" % value != "%.3f" % printed:
+                    problems.append(f"{table_id} {row}~{col} {name} {value:.5f} vs {printed}")
+    assert not problems, "; ".join(problems)
 
 
 def test_criterion_3_table_5_g_columns():

@@ -273,6 +273,21 @@ def test_manipulate_json_lines_matches_csv_precision(capsys, alpha_beta_file, in
         assert alpha["T_before"] == 100 and isinstance(alpha["T_before"], int)
 
 
+def test_a_share_that_rounds_to_zero_is_written_without_a_sign(capsys, tmp_path):
+    # researcher r<i> has k papers of 200 + i citations each: M of T against A is -2.2e-16
+    rows = [f"r{i},{200 + i}\n" for i, k in enumerate([5, 6, 7, 8, 9, 2, 4, 1, 3]) for _ in range(k)]
+    text = "researcher,citations\n" + "".join(rows)
+    path = tmp_path / "ties.csv"
+    path.write_text(text, encoding="utf-8")
+    profiles = [bibindex.index_profile(record) for record in bibindex.parse_citations_csv(io.StringIO(text))]
+    assert -1e-15 < bibindex.association_matrix(profiles, ["T"], ["A"])[0].m_measure < 0
+    argv = ["compare", str(path), "--left", "T", "--right", "A", "--format"]
+    assert run(capsys, *argv, "plain")[1].splitlines()[-1] == "T  -0.583(n)  0.000     0.000"
+    assert run(capsys, *argv, "csv")[1].splitlines()[-1] == "T,A,-0.583,n,0.000,0.000"
+    assert run(capsys, *argv, "json-lines")[1] == ('{"left": "T", "right": "A", "spearman": -0.583, '
+                                                   '"significance": "n", "footrule": 0.0, "m_measure": 0.0}\n')
+
+
 def test_manipulate_requires_mode(capsys, cohort_file):
     status, _, _ = run(capsys, "manipulate", cohort_file)
     assert status == 1

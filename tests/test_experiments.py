@@ -274,6 +274,8 @@ def test_table2_economics_cells():
     assert table.cell("T", "jS").spearman == pytest.approx(0.943, abs=0.01)
     assert table.cell("T", "jS").footrule == pytest.approx(0.830, abs=0.03)
     assert table.cell("T", "jS").m_measure == pytest.approx(0.888, abs=0.03)
+    with pytest.raises(KeyError):
+        table.cell("j", "T")  # the table's columns are j and jS alone
 
 
 def test_table4_physics_full_matrix_cells():

@@ -365,6 +365,12 @@ def test_parse_wide():
         ("alice", (12, 5, 1)), ("bob", (2,)), ("carol", ())]
 
 
+@pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"])
+def test_parse_wide_empty_file(text):
+    with pytest.raises(ParseError, match="^no records: file is empty$"):
+        parse_citations_wide(io.StringIO(text))
+
+
 def test_parse_wide_duplicate_name():
     with pytest.raises(ParseError, match="duplicate"):
         parse_citations_wide(io.StringIO("a,1\na,2\n"))
@@ -469,13 +475,27 @@ def test_unknown_discipline():
         load_bundled_dataset("astrology")
 
 
-def test_cohort_validation_catches_bad_rows():
-    bad = IndexRow("X", 10, 12, 100, 5, 7, 10.0, 20.0, 0.5)  # cited > pub
-    with pytest.raises(ValueError, match="cited exceeds"):
-        CohortDataset("d", (bad,))
-    with pytest.raises(ValueError, match="unique"):
-        CohortDataset("d", (IndexRow("a", 10, 8, 100, 5, 7, 10.0, 20.0, 0.5),
-                            IndexRow("a", 3, 2, 9, 2, 3, 4.0, 4.5, 0.7)))
+_ROW = IndexRow("a", 10, 8, 100, 5, 7, 10.0, 20.0, 0.5)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ((_ROW, IndexRow("a", 3, 2, 9, 2, 3, 4.0, 4.5, 0.7)), "researcher names must be unique within a cohort"),
+    ((dataclasses.replace(_ROW, cited=12),), "a: cited exceeds publications"),
+    ((dataclasses.replace(_ROW, h=8),), "a: h exceeds g"),
+    ((dataclasses.replace(_ROW, j=20.5),), "a: j exceeds jS"),
+    ((dataclasses.replace(_ROW, g1=1.5),), "a: G1 outside [0, 1]"),
+    ((dataclasses.replace(_ROW, g1=-0.1),), "a: G1 outside [0, 1]"),
+], ids=["duplicate-name", "cited", "h", "j", "g1-above", "g1-below"])
+def test_cohort_validation_catches_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CohortDataset("d", rows)
+
+
+@pytest.mark.parametrize("name", ["A", "R", "zap"])
+def test_index_rows_hold_no_a_or_r_column(name):
+    assert _ROW.value("jS") == 20.0
+    with pytest.raises(ValueError, match=f"^column not available in precomputed rows: '{name}'$"):
+        _ROW.value(name)
 
 
 # ---------------------------------------------------------------------------

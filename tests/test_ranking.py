@@ -140,6 +140,8 @@ def test_ranking_validation():
         ranking([1.0, 1.0, 2.0])  # tied pair must average to 1.5
     with pytest.raises(ValueError, match="same length"):
         Ranking("x", ("a",), (1.0, 2.0))
+    with pytest.raises(ValueError, match="^a ranking needs at least one entry$"):
+        Ranking("x", (), ())
 
 
 # ---------------------------------------------------------------------------

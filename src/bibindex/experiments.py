@@ -133,11 +133,13 @@ def apply_manipulation(record: CitationRecord, mode: ManipulationMode | str) -> 
     """
     mode = mode if type(mode) is ManipulationMode else ManipulationMode(mode)  # an Enum call is slow
     counts, total = record.counts, record.total_publications
+    ones, zeros = counts.count(1), counts.count(0)  # descending, so the ones and then the zeros end the tuple
+    above = len(counts) - ones - zeros
     if mode is ManipulationMode.DROP_SINGLETONS:
-        kept = tuple([c for c in counts if c != 1])
-        total -= len(counts) - len(kept)
+        kept = counts[:above] + counts[above + ones:] if ones else counts
+        total -= ones
     else:
-        kept = tuple([c - 1 for c in counts if c >= 2])
+        kept = tuple([c - 1 for c in counts[:above]])
     if type(record) is not CitationRecord or total > len(kept) + MAX_COUNT:  # the one check a decrement can fail
         return CitationRecord(record.researcher_id, kept, total)  # raises it, or checks a subclass's record
     return _record(record.researcher_id, kept, total)

@@ -4,13 +4,13 @@ Covers the classical indicator family (total citations T, h, g, A, R),
 the square-root citation index j and its smoothed companion jS, and the
 partition of a researcher's citations around the h-core (H1..H4, G1..G4).
 
-One private kernel makes a single pass over the descending counts; the
+One private kernel makes a single pass over the cited counts; the
 profile and the partition are built from it, and each single-index
 function reads its field of ``index_profile``.
 
 All functions are pure and operate on immutable ``CitationRecord`` values,
-so callers may evaluate them concurrently across researchers; the one shared
-state, a bounded cache of immutable A and R values, is a thread-safe ``lru_cache``.
+so callers may evaluate them concurrently across researchers; the shared state is two
+bounded, thread-safe ``lru_cache``s of immutable values: A and R, and whole partitions.
 """
 
 from __future__ import annotations
@@ -178,24 +178,27 @@ _record, _profile, _partition = map(_builder, (CitationRecord, IndexProfile, HCo
 
 
 def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int, int, float, float]:
-    """T, h, the h-core's citations, g, j and jS, in one pass over descending counts.
+    """T, h, the h-core's citations, g, j and jS, in one pass over the cited prefix of descending counts.
 
-    Zeros sort last, so the running mean at a cited rank is its smoothed count.
-    With ``roots=False`` the square roots are skipped and j and jS read 0.0.
+    Zeros sort last, so the pass stops at the first one, and the running mean at a cited rank is its
+    smoothed count.  With ``roots=False`` the square roots are skipped and j and jS read 0.0.
     """
     sqrt = math.sqrt
-    total = h = core = g = 0
+    total = h = core = g = rank = 0
     root_terms, smoothed_terms = [], []
     for rank, c in enumerate(counts, start=1):
+        if not c:
+            rank -= 1
+            break
         total += c
         if c >= rank:
             h, core = rank, total
         if total >= rank * rank:
             g = rank
-        if roots and c:
+        if roots:
             root_terms.append(sqrt(c))
             smoothed_terms.append(sqrt(total / rank))
-    if math.isqrt(total) >= len(counts):  # unbounded g: uncited papers pad the list
+    if g == rank:  # T >= g**2 holds on a prefix of ranks; it held at the last cited one, so zeros pad g to isqrt(T)
         g = math.isqrt(total)
     return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)
 
@@ -217,6 +220,11 @@ def h_core_partition(record: CitationRecord) -> HCorePartition:
     total, h, h1 = _kernel(record.counts, roots=False)[:3]
     if total == 0:
         raise ValueError("no citations: partition proportions are undefined")
+    return _shared_partition(total, h, h1)
+
+
+@lru_cache(maxsize=1 << 12)  # bounds what all-distinct triples keep alive; the benchmark's 94k cited hold 23k
+def _shared_partition(total: int, h: int, h1: int) -> HCorePartition:
     h2, h3, h4 = h * h, h1 - h * h, total - h1
     return _partition(h1, h2, h3, h4, h1 / total, h2 / total, h3 / total, h4 / total)
 

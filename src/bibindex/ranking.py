@@ -152,8 +152,13 @@ def rank_descending(values: Sequence[float], *, index_name: str = "value",
     (e.g. [5, 5, 1] -> [1.5, 1.5, 3]).
     """
     negated = _negated(values)
-    ranks = _py_average_ranks(negated) if isinstance(negated, list) else _average_ranks(negated).tolist()
-    return _ranking(index_name, ids, ranks)
+    if isinstance(negated, list):
+        return _ranking(index_name, ids, _py_average_ranks(negated))
+    array = _average_ranks(negated)
+    array.flags.writeable = False
+    ranking = _ranking(index_name, ids, array.tolist())
+    vars(ranking)["_array"] = array  # the measures' array, not rebuilt from the ranks tuple
+    return ranking
 
 
 def _ranked(values: Sequence, name: str, ids: Sequence[str] | None) -> Ranking:

@@ -59,6 +59,25 @@ def test_manipulation_accepts_mode_strings():
     assert out.counts == (2,)
 
 
+def manipulated_per_element(record, mode):
+    """``apply_manipulation``'s counts and total by a rule applied to each count in turn."""
+    counts = record.counts
+    if mode is ManipulationMode.DROP_SINGLETONS:
+        kept = tuple(c for c in counts if c != 1)
+        return kept, record.total_publications - (len(counts) - len(kept))
+    return tuple(c - 1 for c in counts if c >= 2), record.total_publications
+
+
+@pytest.mark.parametrize("mode", list(ManipulationMode))
+@given(st.lists(st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=1000), max_size=60),
+       st.integers(min_value=0, max_value=3))
+def test_manipulation_equals_the_per_element_rule(mode, counts, uncited):
+    record = rec("a", counts, len(counts) + uncited)
+    out = apply_manipulation(record, mode)
+    assert (out.counts, out.total_publications) == manipulated_per_element(record, mode)
+    assert type(out.counts) is tuple
+
+
 @given(citation_lists)
 def test_drop_singletons_properties(counts):
     before = rec("a", counts)

@@ -37,7 +37,7 @@ from bibindex import (
     total_citations,
 )
 from bibindex.io import csv_field
-from bibindex.metrics import MAX_COUNT, _a_and_r, _kernel
+from bibindex.metrics import MAX_COUNT, _a_and_r, _kernel, _shared_partition
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -63,6 +63,24 @@ def brute_g(counts):
         if top >= g * g:
             best = g
     return best
+
+
+def reference_kernel(counts, *, roots=True):
+    """``_kernel`` as one pass over every count, zeros included, with g padded when isqrt(T) >= len(counts)."""
+    total = h = core = g = 0
+    root_terms, smoothed_terms = [], []
+    for rank, c in enumerate(counts, start=1):
+        total += c
+        if c >= rank:
+            h, core = rank, total
+        if total >= rank * rank:
+            g = rank
+        if roots and c:
+            root_terms.append(math.sqrt(c))
+            smoothed_terms.append(math.sqrt(total / rank))
+    if math.isqrt(total) >= len(counts):
+        g = math.isqrt(total)
+    return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)
 
 
 def prefix_means(seq):
@@ -299,6 +317,20 @@ zero_heavy_lists = st.lists(st.integers(min_value=0, max_value=3) | st.integers(
                             max_size=60)
 
 
+@pytest.mark.parametrize("roots", [True, False])
+@given(zero_heavy_lists, st.integers(min_value=0, max_value=200))
+def test_kernel_of_the_cited_prefix_equals_the_pass_over_every_count(roots, counts, zeros):
+    ordered = (*sorted(counts, reverse=True), *[0] * zeros)  # long zero tails pad g past the stored list
+    assert _kernel(ordered, roots=roots) == reference_kernel(ordered, roots=roots)
+
+
+@pytest.mark.parametrize("counts", [(), (0,), (0, 0, 0), (1,), (100, 0, 0), (4, 4, 4, 4, 0), (10**9,) * 3,
+                                    (MAX_COUNT, 1, 0, 0)])
+@pytest.mark.parametrize("roots", [True, False])
+def test_kernel_edge_cases_equal_the_pass_over_every_count(counts, roots):
+    assert _kernel(counts, roots=roots) == reference_kernel(counts, roots=roots)
+
+
 @given(zero_heavy_lists)
 def test_profile_matches_oracles_and_scalar_functions(counts):
     record = rec(counts)
@@ -452,6 +484,7 @@ def test_fast_builds_match_the_public_constructors(name, counts, uncited):
         partition = HCorePartition(core, h * h, core - h * h, t - core, core / t, h * h / t, (core - h * h) / t,
                                    (t - core) / t)
         assert_like_constructed(h_core_partition(record), partition)
+        assert_like_constructed(h_core_partition(record), partition)  # the second from the partition cache
 
     if counts:
         long_text = records_to_csv([record])
@@ -465,17 +498,21 @@ def test_a_cache_is_bounded_and_shares_equal_values():
     record = rec([9, 9, 9, 2])
     assert index_profile(record).a is index_profile(rec([9, 9, 9, 1])).a  # one Fraction per (core, h)
     assert 0 < _a_and_r.cache_info().maxsize <= 1 << 14
+    assert h_core_partition(record) is h_core_partition(rec([9, 9, 9, 1, 1]))  # one partition per (T, h, core)
+    assert h_core_partition(record) is not h_core_partition(rec([9, 9, 9, 1]))
+    assert 0 < _shared_partition.cache_info().maxsize <= 1 << 12
 
 
 def test_profiles_built_concurrently_equal_profiles_built_in_turn():
     records = [rec([(7 * i) % 23, i % 5, (3 * i) % 11, 1]) for i in range(1500)]
-    expected = [index_profile(record) for record in records]
+    expected = [(index_profile(record), h_core_partition(record)) for record in records]
     results = {}
 
     def work(worker):
-        results[worker] = [index_profile(record) for record in records]
+        results[worker] = [(index_profile(record), h_core_partition(record)) for record in records]
 
-    _a_and_r.cache_clear()  # the workers race to fill the shared cache
+    _a_and_r.cache_clear()  # the workers race to fill the shared caches
+    _shared_partition.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -488,7 +525,7 @@ def test_profiles_built_concurrently_equal_profiles_built_in_turn():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert all(results[n] == expected for n in range(6))
-    assert _a_and_r.cache_info().currsize <= _a_and_r.cache_info().maxsize
+    assert all(cache.cache_info().currsize <= cache.cache_info().maxsize for cache in (_a_and_r, _shared_partition))
 
 
 class _Level(enum.IntEnum):

@@ -410,6 +410,15 @@ def test_both_paths_rank_and_measure_alike(columns):
     assert plain[3] == pytest.approx(arrays[3], rel=0, abs=1e-12)
 
 
+@given(tied_values)
+def test_numpy_rankings_keep_their_ranks_as_a_read_only_array(columns):
+    with mock.patch.object(ranking_module, "_NUMPY_FROM", 1):
+        ranked = rank_descending(columns[0], index_name="v")
+    assert ranked._array.tolist() == list(ranked.ranks) and ranked._array.dtype == float
+    assert not ranked._array.flags.writeable
+    assert ranked == Ranking("v", ranked.ids, ranked.ranks)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=4) | st.floats(-1e3, 1e3), min_size=1, max_size=60))
 def test_plain_average_ranks_equal_the_numpy_ones(values):
     assert _py_average_ranks(values) == _average_ranks(values).tolist()

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter, sub, truediv
+from itertools import compress, count
+from operator import attrgetter, ne, sub, truediv
 from typing import Iterable, Sequence
 
 from .io import CohortDataset, load_bundled_dataset
@@ -148,27 +150,23 @@ def apply_manipulation(record: CitationRecord, mode: ManipulationMode | str) -> 
 def _diff_rankings(before: Ranking, after: Ranking, index_name: str) -> RankChangeReport:
     """Pair each changed position with the first later one holding its
     rank exchange (a swap); positions left unpaired are moves."""
-    old, new = before.ranks, after.ranks
-    changed = [i for i in range(len(old)) if old[i] != new[i]]
-    # changed positions not yet paired, by (old, new) rank, smallest position last
-    waiting: dict[tuple[float, float], list[int]] = {}
-    for i in reversed(changed):
-        waiting.setdefault((old[i], new[i]), []).append(i)
-    swaps = []
-    moves = []
-    for i in changed:
-        own = waiting[(old[i], new[i])]
-        if not own or own[-1] != i:
-            continue  # already paired with an earlier position
-        own.pop()
-        partners = waiting.get((new[i], old[i]))
-        if partners:
-            first, second = sorted((i, partners.pop()), key=lambda k: old[k])
-            swaps.append((before.ids[first], before.ids[second], (old[first], old[second])))
+    old, new, ids = before.ranks, after.ranks, before.ids
+    waiting: defaultdict[tuple, list[int]] = defaultdict(list)  # positions that waited, by (old, new) rank
+    claimed: dict[tuple, int] = {}  # how many of each list, from the first, paired (a deque is 10x a list's size)
+    opened: dict[int, tuple | None] = {}  # each swap by its first position; None for a position still waiting
+    for i in compress(count(), map(ne, old, new)):  # the changed positions
+        back = new[i], old[i]
+        partners, k = waiting.get(back, ()), claimed.get(back, 0)
+        if k < len(partners):  # the oldest waiting position that holds i's rank exchange takes i
+            claimed[back] = k + 1
+            first, second = sorted((partners[k], i), key=old.__getitem__)
+            opened[partners[k]] = (ids[first], ids[second], (old[first], old[second]))
         else:
-            moves.append((before.ids[i], old[i], new[i]))
-    return RankChangeReport(index_name=index_name, swaps=tuple(swaps),
-                            moves=tuple(moves), unchanged_count=len(old) - len(changed))
+            waiting[old[i], new[i]].append(i)
+            opened[i] = None
+    swaps = tuple(swap for swap in opened.values() if swap)
+    moves = tuple((ids[i], old[i], new[i]) for i, swap in opened.items() if swap is None)
+    return RankChangeReport(index_name, swaps, moves, len(old) - len(opened) - len(swaps))
 
 
 def rank_change_report(cohort_before: Sequence[CitationRecord],
@@ -263,11 +261,7 @@ def _aggregate(discipline: str, n: int, sum_h: list[int]) -> DisciplineAggregate
 
 
 def _normalise_table_id(table_id) -> str:
-    if isinstance(table_id, int):
-        table_id = f"T{table_id}"
-    table_id = str(table_id).upper()
-    if not table_id.startswith("T"):
-        table_id = "T" + table_id
+    table_id = "T" + str(table_id).upper().removeprefix("T")  # 5, "5", "t5" and "T5" all name T5
     if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id: {table_id!r} (expected T1..T5)")
     return table_id

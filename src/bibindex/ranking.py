@@ -56,6 +56,7 @@ class Ranking:
     ranks: tuple[float, ...]
 
     def __post_init__(self):
+        vars(self).update(ids=tuple(self.ids), ranks=tuple(self.ranks))
         n = len(self.ranks)
         if n == 0:
             raise ValueError("a ranking needs at least one entry")
@@ -68,6 +69,10 @@ class Ranking:
 
     def __len__(self) -> int:
         return len(self.ranks)
+
+    def __getstate__(self) -> dict:
+        """The three fields alone: a copy or unpickled ranking builds its own ``_array`` on first measure."""
+        return {"index_name": self.index_name, "ids": self.ids, "ranks": self.ranks}
 
     @cached_property
     def _array(self) -> np.ndarray:

@@ -261,9 +261,8 @@ def _(report: RankChangeReport) -> _View:
 def _(report: ManipulationReport) -> _View:
     name, mode, change = report.index_name, report.mode.value, report.change
     view = _View((
-        _rows(f"researcher {name}_before:{name} rank_before:rank {name}_after:{name} rank_after:rank",
-              list(zip(report.ids, report.before_values, report.before_ranks,
-                       report.after_values, report.after_ranks))),
+        _Rows(_columns(f"researcher {name}_before:{name} rank_before:rank {name}_after:{name} rank_after:rank"),
+              [report.ids, report.before_values, report.before_ranks, report.after_values, report.after_ranks]),
         _rows("kind index mode unchanged_count swaps moves",
               [("summary", name, mode, change.unchanged_count,
                 len(change.swaps), len(change.moves))], _JSON),

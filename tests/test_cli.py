@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import bibindex
 from bibindex import cli
 from bibindex.cli import cli_dispatch
 
+GOLDEN = Path(__file__).parent / "golden"
 ALPHA_BETA = "researcher,citations\n" + "alpha,100\n" + "\n".join(["beta,10"] * 10) + "\n"
 
 COHORT = """researcher,citations
@@ -314,6 +316,23 @@ def test_output_is_deterministic(capsys, cohort_file):
     _, first, _ = run(capsys, "compare", cohort_file)
     _, second, _ = run(capsys, "compare", cohort_file)
     assert first.encode() == second.encode()
+
+
+def test_main_exits_with_the_status_and_writes_the_golden(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["bibindex", "reproduce", "--table", "5"])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "reproduce-5.plain").read_bytes()
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["bibindex", "reproduce", "--table", "5"])
+    monkeypatch.delitem(sys.modules, "bibindex.cli")  # else runpy warns that it is already imported
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("bibindex.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "reproduce-5.plain").read_bytes()
 
 
 def test_help_exits_zero(capsys):

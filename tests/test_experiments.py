@@ -197,12 +197,15 @@ def test_diff_rankings_matches_quadratic_reference(data):
     high = data.draw(st.sampled_from([3, 10**6]), label="high")
     values = data.draw(st.lists(st.integers(0, high), min_size=1, max_size=40), label="values")
     n = len(values)
-    if data.draw(st.booleans(), label="permute a few"):
+    shape = data.draw(st.sampled_from(["permute a few", "decrement", "redraw"]), label="shape")
+    if shape == "permute a few":
         moved = data.draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True), label="moved")
         targets = data.draw(st.permutations(moved), label="targets")
         after_values = list(values)
         for source, target in zip(moved, targets):
             after_values[target] = values[source]
+    elif shape == "decrement":  # heavy ties, and nearly every position changes
+        after_values = [v - 1 if v > 0 else v for v in values]
     else:
         after_values = data.draw(st.lists(st.integers(0, high), min_size=n, max_size=n),
                                  label="after")

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -473,6 +474,13 @@ def test_bundled_rows_satisfy_column_invariants():
 def test_unknown_discipline():
     with pytest.raises(ValueError, match="unknown discipline"):
         load_bundled_dataset("astrology")
+
+
+def test_bundled_dataset_with_another_header_is_a_parse_error(monkeypatch, tmp_path):
+    (tmp_path / "physics.csv").write_text("name,pub\n", encoding="utf-8")
+    monkeypatch.setattr("bibindex.io.resources", SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(ParseError, match=r"^unexpected header in bundled dataset physics: \['name', 'pub'\]$"):
+        load_bundled_dataset("physics")
 
 
 _ROW = IndexRow("a", 10, 8, 100, 5, 7, 10.0, 20.0, 0.5)

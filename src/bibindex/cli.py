@@ -1,6 +1,6 @@
 """Command-line surface: indices, compare, hcore, manipulate, reproduce.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
+Exit codes: 0 on success, 1 on usage errors, 2 on data errors and failed writes to stdout.
 """
 
 from __future__ import annotations
@@ -139,19 +139,25 @@ def _run(args) -> str:
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
     parser = build_parser()
+    output = None
     try:
         args = parser.parse_args(list(argv))
         output = _run(args)
+        sys.stdout.write(output + "\n")
+        sys.stdout.flush()
     except UsageError as err:
         sys.stderr.write(f"{err}\n")
         return 1
-    except SystemExit as exc:  # argparse --help
-        code = exc.code
-        return 0 if code in (None, 0) else int(code)
+    except SystemExit:  # argparse --help; usage errors raise UsageError
+        return 0
     except (ParseError, ValueError, OSError) as err:
-        sys.stderr.write(f"error: {err}\n")
+        if output is not None and isinstance(err, OSError):  # stdout refused the output: the interpreter's
+            devnull = os.open(os.devnull, os.O_WRONLY)  # final flush of what it still holds goes nowhere
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not isinstance(err, BrokenPipeError):  # a reader that has gone is told nothing
+            sys.stderr.write(f"error: {err}\n")
         return 2
-    sys.stdout.write(output + "\n")
     return 0
 
 

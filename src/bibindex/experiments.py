@@ -173,11 +173,11 @@ def rank_change_report(cohort_before: Sequence[CitationRecord],
                        cohort_after: Sequence[CitationRecord],
                        index_name: str) -> RankChangeReport:
     """Compare the index ranking of a cohort before and after a transform."""
+    cohort_before, cohort_after = list(cohort_before), list(cohort_after)
     ids_before = tuple(r.researcher_id for r in cohort_before)
-    ids_after = tuple(r.researcher_id for r in cohort_after)
-    if ids_before != ids_after:
+    if ids_before != tuple(r.researcher_id for r in cohort_after):
         raise ValueError("rosters differ between the two cohorts")
-    before, after = (_ranked(_table(list(cohort), (index_name,)).get(index_name, []), index_name, ids_before)
+    before, after = (_ranked(_table(cohort, (index_name,))[index_name], index_name, ids_before)
                      for cohort in (cohort_before, cohort_after))
     return _diff_rankings(before, after, index_name)
 
@@ -191,8 +191,7 @@ def manipulation_report(cohort: Sequence[CitationRecord],
 
 def _manipulation_report(cohort, mode: ManipulationMode, index_name: str) -> ManipulationReport:
     """Rank a ``_table`` cohort's index values before and after a transform, and diff the rankings."""
-    after_values = _table(cohort, (index_name,), mode).get(index_name, [])  # a refused transform fails first
-    before_values = _table(cohort, (index_name,)).get(index_name, [])
+    before_values, after_values = (_table(cohort, (index_name,), m)[index_name] for m in (None, mode))
     before, after = (_ranked(values, index_name, _names(cohort)) for values in (before_values, after_values))
     return ManipulationReport(index_name, mode, before.ids, tuple(map(float, before_values)),
                               tuple(map(float, after_values)), before.ranks, after.ranks,
@@ -208,6 +207,9 @@ def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None)
     """``metrics._kernel`` of each researcher of a list of records or ``_columns.Columns``, after ``mode`` if
     given, as columns T, h, core (the h-core's citations), g, A (None where h = 0), R, j and jS, for the caller
     to read ``indices``.  Roots are taken only for j or jS, else both read 0.0; on columns, j alone for ("j",)."""
+    unknown = [name for name in indices if name not in INDEX_FIELDS]
+    if unknown:
+        raise ValueError(f"unknown index name: {unknown[0]!r}")
     roots = "j" if tuple(indices) == ("j",) else not {"j", "jS"}.isdisjoint(indices)
     if isinstance(cohort, list):
         records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
@@ -221,9 +223,6 @@ def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None)
     table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns or [[]] * 6))
     table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]
     table["R"] = list(map(math.sqrt, table["core"]))
-    unknown = [name for name in indices if name not in INDEX_FIELDS]
-    if unknown and table["T"]:  # after a refused transform; an empty cohort fails in its ranking
-        raise ValueError(f"unknown index name: {unknown[0]!r}")
     return table
 
 

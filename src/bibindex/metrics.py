@@ -165,15 +165,6 @@ def _builder(cls):
     return scope["build"]
 
 
-def _setstate(self, state):
-    """Pickle state: the field values in order, or the field dict that the earlier dict-backed classes wrote
-    (whose keys dataclasses' own ``__setstate__`` would set as the values)."""
-    names = [field.name for field in fields(self)]
-    for name, value in zip(names, map(state.__getitem__, names) if isinstance(state, dict) else state):
-        object.__setattr__(self, name, value)
-
-
-CitationRecord.__setstate__ = IndexProfile.__setstate__ = HCorePartition.__setstate__ = _setstate
 _record, _profile, _partition = map(_builder, (CitationRecord, IndexProfile, HCorePartition))
 
 

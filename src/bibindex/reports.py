@@ -62,11 +62,11 @@ def _share(share: float) -> str:
 
 
 # (text cell, json value) per cell kind; a json converter of None keeps the value as it is, and a number n
-# rounds it to n digits.  Index values use the index names as kinds; "mean" is a cohort mean of H values,
-# "share" an association measure or G proportion.
+# rounds it to n digits.  Index values use the index names as kinds; "int" is any other integer, "mean" a cohort
+# mean of H values, "share" an association measure or G proportion.
 _CELLS = {
     "str": (str, None),
-    **dict.fromkeys(("T", "h", "g"), ("%d".__mod__, int)),
+    **dict.fromkeys(("T", "h", "g", "int"), ("%d".__mod__, int)),
     "A": (lambda a: "-" if a is None else "%.2f" % a,  # undefined when h = 0
           lambda a: None if a is None else round(float(a), 2)),
     **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, 2)),
@@ -216,7 +216,7 @@ _view.register(DisciplineAggregate, lambda agg: _View((_aggregate_rows([agg]),))
 
 
 _INDEX_COLUMNS = _columns("researcher " + " ".join(f"{name}:{name}" for name in INDEX_NAMES))
-_SPLIT_COLUMNS = _columns("researcher H1 H2 H3 H4" + _G_SHARES)
+_SPLIT_COLUMNS = _columns("researcher H1:int H2:int H3:int H4:int" + _G_SHARES)
 
 
 def _table(rows, fields: dict[str, str], aggregate=None) -> CohortTable:
@@ -251,8 +251,8 @@ def _(report: RankChangeReport) -> _View:
               [("swap", a, b, pos_a, pos_b) for a, b, (pos_a, pos_b) in report.swaps]),
         _rows("kind researcher old_rank:rank new_rank:rank",
               [("move", *move) for move in report.moves]),
-        _rows("kind count", [("summary", report.unchanged_count)], _TEXT),
-        _rows("kind index unchanged_count",
+        _rows("kind count:int", [("summary", report.unchanged_count)], _TEXT),
+        _rows("kind index unchanged_count:int",
               [("summary", report.index_name, report.unchanged_count)], _JSON),
     ), layout=partial(_prose, report))
 
@@ -263,7 +263,7 @@ def _(report: ManipulationReport) -> _View:
     view = _View((
         _Rows(_columns(f"researcher {name}_before:{name} rank_before:rank {name}_after:{name} rank_after:rank"),
               [report.ids, report.before_values, report.before_ranks, report.after_values, report.after_ranks]),
-        _rows("kind index mode unchanged_count swaps moves",
+        _rows("kind index mode unchanged_count:int swaps:int moves:int",
               [("summary", name, mode, change.unchanged_count,
                 len(change.swaps), len(change.moves))], _JSON),
     ), f"{name} ranking before/after {mode}")

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, formats and exit codes."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -358,11 +359,15 @@ def _imported_after(module, *runs):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert bibindex.cli.cli_dispatch(argv) == 0, argv\n"
             "print(sys.argv[1] in sys.modules)")
-    src = str(Path(bibindex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, module, repr(runs)], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code, module, repr(runs)], env=_child_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     return {"True": True, "False": False}[done.stdout.strip()]
+
+
+def _child_env():
+    """This environment, with the package under test first on a child interpreter's path."""
+    src = str(Path(bibindex.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _small_runs(*options):
@@ -385,3 +390,39 @@ def test_json_is_imported_only_for_json_lines():
     assert not _imported_after("json")
     assert not _imported_after("json", *_small_runs("--format", "plain"), *_small_runs("--format", "csv"))
     assert _imported_after("json", ["reproduce", "--table", "1", "--format", "json-lines"])
+
+
+@pytest.fixture(scope="module")
+def output_runs(tmp_path_factory):
+    """A run per input path: a small file's records, a large file's columns, and the bundled tables."""
+    large = tmp_path_factory.mktemp("output") / "large.csv"
+    large.write_text("researcher,citations\n" + "".join(f"r{i % 500},{i % 9 + 1}\n" for i in range(1 << 16)),
+                     encoding="utf-8")
+    assert large.stat().st_size >= cli._COLUMNS_FROM
+    return {"records": ["indices", str(Path(__file__).parent / "data" / "golden_cohort.csv")],
+            "columns": ["indices", str(large)], "reproduce": ["reproduce", "--table", "1"]}
+
+
+def _run_into(stdout, argv):
+    return subprocess.run([sys.executable, "-m", "bibindex.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=_child_env(), timeout=120)
+
+
+@pytest.mark.parametrize("path", ["records", "columns", "reproduce"])
+def test_a_reader_that_has_gone_ends_the_run_with_status_2_and_no_message(output_runs, path):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_into(write, output_runs[path])
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("path", ["records", "columns", "reproduce"])
+def test_a_full_device_ends_the_run_with_status_2_and_one_error_line(output_runs, path):
+    with open("/dev/full", "wb") as full:
+        done = _run_into(full, output_runs[path])
+    message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (done.returncode, done.stderr.decode()) == (2, message)

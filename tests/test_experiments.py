@@ -139,7 +139,7 @@ _CEILING = "total_publications cannot exceed the stored counts by more than 1000
 
 @pytest.mark.parametrize("work,message", [
     (lambda: manipulation_report([], "drop_singletons", "j"), _EMPTY),
-    (lambda: manipulation_report([], "decrement_all", "zz"), _EMPTY),
+    (lambda: manipulation_report([], "decrement_all", "zz"), "unknown index name: 'zz'"),  # names are checked first
     (lambda: manipulation_report([], "decrement_all", "A"), _EMPTY),
     (lambda: manipulation_report([rec("a", [3, 2])], "decrement_all", "zz"), "unknown index name: 'zz'"),
     (lambda: manipulation_report([rec("a", [3, 2])], "decrement_all", "core"), "unknown index name: 'core'"),
@@ -147,11 +147,12 @@ _CEILING = "total_publications cannot exceed the stored counts by more than 1000
      "unknown index name: 'zz'"),
     (lambda: manipulation_report([rec("a", [3, 2]), rec("b", [0])], "decrement_all", "A"), _UNDEFINED_A),
     (lambda: manipulation_report([rec("a", [3, 2]), rec("b", [1, 1, 1])], "drop_singletons", "A"), _UNDEFINED_A),
-    # the transform fails before any index is read
-    (lambda: manipulation_report([rec("b", [0]), rec("c", [1, 1], 10**9 + 1)], "decrement_all", "zz"), _CEILING),
+    # a known name's transform fails before any index is read
+    (lambda: manipulation_report([rec("b", [0]), rec("c", [1, 1], 10**9 + 1)], "decrement_all", "zz"),
+     "unknown index name: 'zz'"),
     (lambda: manipulation_report([rec("b", [0]), rec("c", [1, 1], 10**9 + 1)], "decrement_all", "A"), _CEILING),
     (lambda: rank_change_report([], [], "h"), _EMPTY),
-    (lambda: rank_change_report([], [], "zz"), _EMPTY),
+    (lambda: rank_change_report([], [], "zz"), "unknown index name: 'zz'"),
     (lambda: rank_change_report([rec("a", [1])], [rec("b", [1])], "zz"), "rosters differ between the two cohorts"),
     (lambda: rank_change_report([rec("a", [1])], [rec("a", [1])], "zz"), "unknown index name: 'zz'"),
     (lambda: rank_change_report([rec("a", [1]), rec("b", [0])], [rec("a", [1]), rec("b", [2])], "A"),
@@ -163,6 +164,28 @@ def test_cohort_reports_raise_in_order(work, message):
     with pytest.raises(ValueError) as err:
         work()
     assert str(err.value) == message
+
+
+def _outcome(work):
+    try:
+        return work()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+_SWAPPING = [rec("a", [4, 1, 1]), rec("b", [3, 3]), rec("c", [1, 1, 1])]  # a and b swap under j
+
+
+@pytest.mark.parametrize("records,index_name,fails", [
+    (_SWAPPING, "j", False), (_SWAPPING, "A", True), (_SWAPPING, "zz", True), ([], "h", True)])
+def test_cohort_reports_read_a_list_a_tuple_or_a_generator_alike(records, index_name, fails):
+    after = [apply_manipulation(record, "drop_singletons") for record in records]
+    reports = (lambda shape: rank_change_report(shape(records), shape(after), index_name),
+               lambda shape: manipulation_report(shape(records), "drop_singletons", index_name))
+    for report in reports:
+        outcomes = [_outcome(lambda: report(shape)) for shape in (list, tuple, lambda rs: (r for r in rs))]
+        assert outcomes[1:] == outcomes[:1] * 2
+        assert isinstance(outcomes[0], str) == fails
 
 
 def _reference_diff_rankings(before, after, index_name):

@@ -546,32 +546,6 @@ def test_a_subclass_builds_pickles_and_round_trips():
         assert type(copied) is _Record and copied == record and vars(copied) == {}
 
 
-# CitationRecord("ada", (5, 3, 0), 4), its profile and its partition, pickled by the earlier classes, which
-# kept their fields in a __dict__: protocol 4, then the record at protocol 0
-_DICT_PICKLES = (
-    b"\x80\x04\x95m\x00\x00\x00\x00\x00\x00\x00\x8c\x10bibindex.metrics\x94\x8c\x0eCitationRecord\x94\x93\x94)\x81"
-    b"\x94}\x94(\x8c\rresearcher_id\x94\x8c\x03ada\x94\x8c\x06counts\x94K\x05K\x03K\x00\x87\x94\x8c\x12total_public"
-    b"ations\x94K\x04ub.",
-    b"\x80\x04\x95\x9a\x00\x00\x00\x00\x00\x00\x00\x8c\x10bibindex.metrics\x94\x8c\x0cIndexProfile\x94\x93\x94)\x81"
-    b"\x94}\x94(\x8c\x0ftotal_citations\x94K\x08\x8c\x01h\x94K\x02\x8c\x01g\x94K\x02\x8c\x01a\x94\x8c\tfractions\x94"
-    b"\x8c\x08Fraction\x94\x93\x94K\x04K\x01\x86\x94R\x94\x8c\x01r\x94G@\x06\xa0\x9ef\x7f;\xcd\x8c\x01j\x94G@\x0f\xbe"
-    b"\xb5\x0f\xc4\x1a\xfd\x8c\x02js\x94G@\x10\xf1\xbb\xcd\xcb\xfaTub.",
-    b"\x80\x04\x95\x83\x00\x00\x00\x00\x00\x00\x00\x8c\x10bibindex.metrics\x94\x8c\x0eHCorePartition\x94\x93\x94)"
-    b"\x81\x94}\x94(\x8c\x02h1\x94K\x08\x8c\x02h2\x94K\x04\x8c\x02h3\x94K\x04\x8c\x02h4\x94K\x00\x8c\x02g1\x94G?"
-    b"\xf0\x00\x00\x00\x00\x00\x00\x8c\x02g2\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x02g3\x94G?\xe0\x00\x00\x00"
-    b"\x00\x00\x00\x8c\x02g4\x94G\x00\x00\x00\x00\x00\x00\x00\x00ub.",
-    b"ccopy_reg\n_reconstructor\np0\n(cbibindex.metrics\nCitationRecord\np1\nc__builtin__\nobject\np2\nNtp3\nRp4\n"
-    b"(dp5\nVresearcher_id\np6\nVada\np7\nsVcounts\np8\n(I5\nI3\nI0\ntp9\nsVtotal_publications\np10\nI4\nsb.",
-)
-
-
-def test_pickles_of_the_dict_backed_classes_load_field_by_field():
-    record = CitationRecord("ada", (5, 3, 0), 4)
-    for data, expected in zip(_DICT_PICKLES, [record, index_profile(record), h_core_partition(record), record],
-                              strict=True):
-        assert_like_constructed(pickle.loads(data), expected)
-
-
 _odd_counts = (st.integers(-2, 12) | st.sampled_from([MAX_COUNT, MAX_COUNT + 1]) | st.booleans()
                | st.integers(0, 12).map(np.int64) | st.sampled_from(list(_Level)) | st.floats(0, 12))
 _odd_totals = (st.none() | st.integers(-1, 8) | st.booleans() | st.integers(0, 8).map(np.int64)

@@ -43,6 +43,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
         raise UsageError(f"{self.format_usage()}error: {message}")  # a subcommand's own usage
 
+    def print_help(self, file=None):  # argparse's own drops an OSError of the write; this one raises it
+        (sys.stdout if file is None else file).write(self.format_help())
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bibindex",
@@ -125,7 +128,7 @@ def _run(args) -> str:
         return emit_report(CohortTable(_names(cohort), _table(cohort, INDEX_NAMES)), args.format)
 
     if args.command == "compare":
-        table, names = _table(cohort, args.left + args.right), _names(cohort)
+        table, names = _table(cohort, args.left + args.right), tuple(_names(cohort))  # one roster for every ranking
         reports = association_grid(args.left, args.right, lambda name: _ranked(table[name], name, names))
         caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
         return emit_report(AssociationTable("compare", caption, args.left, args.right, tuple(reports)), args.format)
@@ -141,15 +144,16 @@ def cli_dispatch(argv) -> int:
     parser = build_parser()
     output = None
     try:
-        args = parser.parse_args(list(argv))
-        output = _run(args)
-        sys.stdout.write(output + "\n")
+        try:
+            args = parser.parse_args(list(argv))
+        except SystemExit:  # argparse --help has written the help, flushed below; usage errors raise UsageError
+            args = None
+        output = "" if args is None else _run(args) + "\n"
+        sys.stdout.write(output)
         sys.stdout.flush()
     except UsageError as err:
         sys.stderr.write(f"{err}\n")
         return 1
-    except SystemExit:  # argparse --help; usage errors raise UsageError
-        return 0
     except (ParseError, ValueError, OSError) as err:
         if output is not None and isinstance(err, OSError):  # stdout refused the output: the interpreter's
             devnull = os.open(os.devnull, os.O_WRONLY)  # final flush of what it still holds goes nowhere

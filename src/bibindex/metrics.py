@@ -5,8 +5,9 @@ the square-root citation index j and its smoothed companion jS, and the
 partition of a researcher's citations around the h-core (H1..H4, G1..G4).
 
 One private kernel makes a single pass over the cited counts; the
-profile and the partition are built from it, and each single-index
-function reads its field of ``index_profile``.
+profile is built from it, and each single-index function reads its
+field of ``index_profile``.  The partition needs only T and the h-core:
+it sums the counts and walks the h-core alone.
 
 All functions are pure and operate on immutable ``CitationRecord`` values,
 so callers may evaluate them concurrently across researchers; the shared state is two
@@ -208,9 +209,15 @@ def index_profile(record: CitationRecord) -> IndexProfile:
 
 def h_core_partition(record: CitationRecord) -> HCorePartition:
     """Citation split inside/outside the h-core, with proportions of T."""
-    total, h, h1 = _kernel(record.counts, roots=False)[:3]
+    counts = record.counts
+    total = sum(counts)
     if total == 0:
         raise ValueError("no citations: partition proportions are undefined")
+    h = h1 = 0
+    for rank, c in enumerate(counts, start=1):  # descending: c >= rank holds on the h-core alone
+        if c < rank:
+            break
+        h, h1 = rank, h1 + c
     return _shared_partition(total, h, h1)
 
 

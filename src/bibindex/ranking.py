@@ -98,7 +98,7 @@ def _average_ranks(values) -> np.ndarray:
     """Ascending fractional ranks: rank 1 for the smallest value, ties averaged."""
     import numpy as np
     arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr)  # any order of a tie run: each of its members takes the run's mean rank
     ordered = arr[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     ends = np.append(starts[1:], arr.size)
@@ -195,7 +195,7 @@ def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float],
 def _paired_ranks(r1: Ranking, r2: Ranking):
     """The two rank vectors, the positions 1..n and the sum of ``term(a[i], b[i])``: tuples, ``range`` and
     ``math.fsum`` below ``_NUMPY_FROM`` entries, else arrays and ``np.sum``; equal while sums are exact."""
-    if r1.ids != r2.ids:
+    if r1.ids is not r2.ids and r1.ids != r2.ids:  # rankings of one cohort share its roster
         raise ValueError("rankings cover different rosters")
     n = len(r1)
     if n < 2:

@@ -149,15 +149,28 @@ def _json_texts(kind: str, column: Sequence) -> Iterable:
     return texts if cells is None else map(dict(zip(cells, texts)).__getitem__, map(id, column))
 
 
+_ONE_DECIMAL = 2.0**49  # below it adjacent doubles lie at most 1/16 apart
+
+
+def _json_column(kind: str, column: Sequence) -> tuple[str, Iterable]:
+    """A column's conversion in its part's line template, and the values it takes.  A j or jS column of finite
+    floats inside (-``_ONE_DECIMAL``, ``_ONE_DECIMAL``) takes %.1f as it is: %.1f and round(x, 1) both round x
+    half-even to one decimal, and there the double nearest that decimal reprs as it, -0.0 included."""
+    if (_CELLS[kind][1] == 1 and len(column) > 0 and {float}.issuperset(map(type, column))
+            and math.isfinite(sum(column)) and -_ONE_DECIMAL < min(column) and max(column) < _ONE_DECIMAL):
+        return "%.1f", column
+    return "%d" if _CELLS[kind][1] is int else "%s", _json_texts(kind, column)
+
+
 def _json_lines(view: _View) -> str:
     from json.encoder import encode_basestring
     lines = []
     for part in view.parts:
         if "json-lines" in part.formats:
-            line = "{%s}" % ", ".join(encode_basestring(key) + (": %d" if _CELLS[kind][1] is int else ": %s")
-                                      for key, kind in part.columns)
-            lines += map(line.__mod__, zip(*[_json_texts(kind, column)
-                                             for (_, kind), column in zip(part.columns, part.values)]))
+            conversions, cells = zip(*map(_json_column, (kind for _, kind in part.columns), part.values))
+            line = "{%s}" % ", ".join(f"{encode_basestring(key)}: {conversion}"
+                                      for (key, _), conversion in zip(part.columns, conversions))
+            lines += map(line.__mod__, zip(*cells))
     return "\n".join(lines)
 
 

@@ -403,9 +403,9 @@ def output_runs(tmp_path_factory):
             "columns": ["indices", str(large)], "reproduce": ["reproduce", "--table", "1"]}
 
 
-def _run_into(stdout, argv):
+def _run_into(stdout, argv, env=None):
     return subprocess.run([sys.executable, "-m", "bibindex.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          env=_child_env(), timeout=120)
+                          env=env or _child_env(), timeout=120)
 
 
 @pytest.mark.parametrize("path", ["records", "columns", "reproduce"])
@@ -426,3 +426,42 @@ def test_a_full_device_ends_the_run_with_status_2_and_one_error_line(output_runs
         done = _run_into(full, output_runs[path])
     message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert (done.returncode, done.stderr.decode()) == (2, message)
+
+
+def _buffering_env(unbuffered):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+_HELP = [["--help"], ["indices", "--help"]]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", _HELP, ids=" ".join)
+def test_help_to_a_reader_that_has_gone_ends_with_status_2_and_no_message(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_into(write, argv, _buffering_env(unbuffered))
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", _HELP, ids=" ".join)
+def test_help_to_a_full_device_ends_with_status_2_and_one_error_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = _run_into(full, argv, _buffering_env(unbuffered))
+    message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (done.returncode, done.stderr.decode()) == (2, message)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", _HELP, ids=" ".join)
+def test_help_to_a_working_stdout_ends_with_status_0(argv, unbuffered):
+    done = _run_into(subprocess.PIPE, argv, _buffering_env(unbuffered))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: bibindex")

@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -669,3 +671,52 @@ def test_json_lines_of_a_real_cohort_are_the_rows_as_json_writes_dicts():
                 *(reproduce_table(t) for t in range(1, 6))]
     for report in reports_:
         assert emit_report(report, "json-lines") == _reference_json_lines(report)
+
+
+# j and jS written by %.1f in the line template where that equals the rounded repr
+
+_below_template_bound = st.floats(min_value=-(2.0**49), max_value=2.0**49, exclude_min=True, exclude_max=True)
+_decimal_ties = st.tuples(st.integers(-5 * 10**15, 5 * 10**15 - 1), st.integers(-2, 2)).map(
+    lambda pair: _steps_from((2 * pair[0] + 1) / 20, pair[1]))  # the doubles around x.x5
+
+
+def _steps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=2000)
+@given(_below_template_bound | _decimal_ties | st.just(-0.0))
+def test_one_decimal_format_is_the_repr_of_the_rounded_float(x):
+    assert -(2.0**49) < x < 2.0**49
+    assert repr(round(x, 1)) == "%.1f" % x
+
+
+def _j_reports(key, values):
+    """A ProfileReport and a CohortTable whose ``key`` column ("j" or "jS") holds ``values``, next to other columns."""
+    n = len(values)
+    names = [f"r{i}" for i in range(n)]
+    ordinary = [0.05 * i + 1.25 for i in range(n)]
+    columns = {"T": [9] * n, "h": [2] * n, "g": [3] * n, "A": [Fraction(7, 2)] * n, "R": [math.sqrt(7)] * n,
+               "j": ordinary, "jS": ordinary, key: values}
+    profiles = [IndexProfile(*cells) for cells in zip(*(columns[name] for name in INDEX_NAMES))]
+    return ProfileReport(tuple(zip(names, profiles))), CohortTable(names, columns)
+
+
+@pytest.mark.parametrize("key", ["j", "jS"])
+@pytest.mark.parametrize("edge", [2.0**49, -(2.0**49), 1e300, -0.0, 3, math.nan, math.inf])
+def test_json_lines_of_a_j_column_with_an_edge_value_are_the_rows_as_json_writes_dicts(key, edge):
+    for report in _j_reports(key, [0.05, 2.25, edge, -7.75, 1234.5678, 0.0]):
+        assert emit_report(report, "json-lines") == _reference_json_lines(report)
+
+
+def test_only_float_j_columns_finite_and_inside_2_to_the_49_take_the_template():
+    below = math.nextafter(2.0**49, 0)
+    for key in ("j", "jS"):
+        assert reports._json_column(key, [1.25, below, -below, -0.0])[0] == "%.1f"
+        for edge in (2.0**49, -(2.0**49), 1e300, 3, math.nan, math.inf, -math.inf):
+            assert reports._json_column(key, [1.25, edge])[0] == "%s"
+        assert reports._json_column(key, [1e308, 1e308])[0] == "%s"  # finite cells, but their sum is not
+        assert reports._json_column(key, [])[0] == "%s"
+    assert [reports._json_column(kind, [1.25])[0] for kind in ("R", "mean", "share", "rank")] == ["%s"] * 4

@@ -331,6 +331,27 @@ def test_kernel_edge_cases_equal_the_pass_over_every_count(counts, roots):
     assert _kernel(counts, roots=roots) == reference_kernel(counts, roots=roots)
 
 
+def _assert_partition_reads_the_kernel(counts):
+    total, h, core = reference_kernel(counts)[:3]
+    record = CitationRecord("r", counts, len(counts))
+    if total == 0:
+        with pytest.raises(ValueError, match="no citations"):
+            h_core_partition(record)
+    else:
+        assert h_core_partition(record) == _shared_partition(total, h, core)
+
+
+@given(zero_heavy_lists, st.integers(min_value=0, max_value=200))
+def test_partition_reads_t_h_and_core_of_the_pass_over_every_count(counts, zeros):
+    _assert_partition_reads_the_kernel((*sorted(counts, reverse=True), *[0] * zeros))
+
+
+@pytest.mark.parametrize("counts", [(), (0,), (0, 0, 0), (1,), (100, 0, 0), (4, 4, 4, 4, 0), (10**9,) * 3,
+                                    (MAX_COUNT, 1, 0, 0), (3, 3, 3), (5, 4, 3, 3, 1)])
+def test_partition_edge_cases_read_t_h_and_core_of_the_pass_over_every_count(counts):
+    _assert_partition_reads_the_kernel(counts)
+
+
 @given(zero_heavy_lists)
 def test_profile_matches_oracles_and_scalar_functions(counts):
     record = rec(counts)

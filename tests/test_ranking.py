@@ -442,6 +442,28 @@ def test_both_paths_rank_and_measure_alike(columns):
     assert plain[3] == pytest.approx(arrays[3], rel=0, abs=1e-12)
 
 
+def test_rankings_with_equal_but_distinct_roster_tuples_measure_on_both_paths():
+    names = ("w", "x", "y", "z")
+    equal = tuple(list(names))
+    assert equal == names and equal is not names
+
+    def measure():
+        left = rank_descending([3.0, 1.0, 2.0, 2.0], index_name="a", ids=names)
+        return [associate(left, rank_descending([1.0, 2.0, 3.0, 0.0], index_name="b", ids=ids))
+                for ids in (names, equal)]
+
+    for shared, distinct in _on_both_paths(measure):
+        assert shared == distinct
+
+
+def test_rankings_of_unequal_rosters_raise_on_both_paths():
+    def measure():
+        left = rank_descending([3.0, 1.0, 2.0], index_name="a", ids=("x", "y", "z"))
+        return associate(left, rank_descending([1.0, 2.0, 3.0], index_name="b", ids=("x", "y", "q")))
+
+    assert _on_both_paths(measure) == [("error", "rankings cover different rosters")] * 2
+
+
 @given(tied_values)
 def test_numpy_rankings_keep_their_ranks_as_a_read_only_array(columns):
     with mock.patch.object(ranking_module, "_NUMPY_FROM", 1):

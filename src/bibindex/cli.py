@@ -30,8 +30,8 @@ _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
 # Files of at least this many bytes are read into numpy columns (``_columns``), smaller ones
 # into records, sparing numpy's import.  Seconds for indices / manipulate / compare, records
 # against columns, files of 20 counts per researcher (2-vCPU x86-64 VM, Python 3.11, medians
-# of 7): 110 KB 0.21/0.24/0.22 against 0.38/0.33/0.36; 252 KB 0.29/0.34/0.29 against
-# 0.37/0.40/0.35; 378 KB (2,400 researchers: past _NUMPY_FROM) 0.34/0.54/0.45 against 0.41/0.52/0.38.
+# of 7): 113 KB 0.11/0.11/0.11 against 0.18/0.18/0.17; 258 KB 0.13/0.14/0.14 against
+# 0.17/0.19/0.18; 387 KB (2,400 researchers: past _NUMPY_FROM) 0.15/0.24/0.24 against 0.19/0.18/0.20.
 _COLUMNS_FROM = 256 << 10
 
 

@@ -361,7 +361,6 @@ def association_matrix(cohort: Sequence[IndexProfile], left: Sequence[str],
     for name in list(left) + list(right):
         if name not in INDEX_FIELDS:
             raise ValueError(f"unknown index name: {name!r}")
-    if ids is not None:
-        ids = tuple(ids)
+    ids = tuple(map(str, range(1, len(cohort) + 1))) if ids is None else tuple(ids)  # one roster for every ranking
     return association_grid(left, right, lambda name: _ranked(
         list(map(attrgetter(INDEX_FIELDS[name]), cohort)), name, ids))

@@ -1,5 +1,6 @@
 """The CLI's columnar path against the library: reader, kernel, manipulations, CLI output."""
 
+import contextlib
 import csv
 import io
 import math
@@ -149,6 +150,42 @@ def test_reader_reads_the_sidecar_and_names_like_the_parser():
     assert _records(columns) == _as_tuples(_parse(text))
 
 
+_HEADER = b"researcher,citations\n"
+_SIDECAR_HEADER = b"researcher,citations,uncited_publications\n"
+_EDGE_FILES = {
+    # the last name is the block's shortest and the file has no final newline: past the shortest
+    # name, byte positions of that row run beyond the buffer and are clamped
+    "clamp": _HEADER + b"x" * 32 + b",3\n" + b"y" * 32 + b",1\n" + b"y" * 32 + b",2\na,1",
+    # names of one length that differ only past the shortest name
+    "past-shortest": _HEADER + b"a,1\nabc,2\nabd,3\nabd,4\nabc,5\n",
+    # names of 32 and 33 bytes sharing their first 32: only names of up to 32 bytes are compared
+    "33-bytes": _HEADER + b"".join(b"z" * 32 + tail + b",%d\n" % i for i, tail in enumerate(
+        [b"", b"q", b"r", b"r", b"", b"q"])),
+}
+
+
+@pytest.mark.parametrize("text", list(_EDGE_FILES.values()), ids=list(_EDGE_FILES))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_reader_reads_edge_names_like_the_parser(text, data):
+    expected = _as_tuples(_parse(text))
+    assert _records(_columns.read_long(text)) == expected
+    with _small_blocks(data):
+        assert _records(_columns.read_long(text)) == expected
+
+
+@pytest.mark.parametrize("count", [b"x5", b"5x", b"/1", b":1", b"1/", b"1:"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_reader_declines_counts_with_a_byte_next_to_the_digits(count, data):
+    """'/' and ':' sit just below '0' and just above '9'."""
+    for text in (_HEADER + b"a,12\nb,3\nb," + count + b"\n", _SIDECAR_HEADER + b"a,12,\nb,3,4\nb,3," + count + b"\n"):
+        assert isinstance(_parse(text), ParseError)
+        assert _columns.read_long(text) is None
+        with _small_blocks(data):
+            assert _columns.read_long(text) is None
+
+
 # ---------------------------------------------------------------------------
 # the kernel and the manipulations: field for field against the library
 
@@ -229,6 +266,29 @@ def test_kernel_edge_records():
     assert rows == [_kernel(r.counts) for r in records] and rows[2][3] == 10
     with pytest.raises(ValueError, match="^no citations: partition proportions are undefined$"):
         experiments._partitions(columns)
+
+
+_EDGE_COHORTS = {
+    "all zeros": [(0, 0, 0), (0,), ()],  # one block with no cited count at all
+    "padded g": [(9, 0, 0), (4, 0), (0, 0), (9, 0, 0, 0), (3, 3, 0), (1, 0, 0, 0, 0), (10**9, 0)],
+}
+
+
+@pytest.mark.parametrize("roots", [True, False, "j"])
+@pytest.mark.parametrize("drawn", list(_EDGE_COHORTS.values()), ids=list(_EDGE_COHORTS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_kernel_reads_uncited_rows_like_the_library(drawn, roots, data):
+    """Zeros sort last, so the kernel keeps only each researcher's cited prefix; uncited papers still pad g."""
+    records = [CitationRecord.from_counts(f"r{i}", counts) for i, counts in enumerate(drawn)]
+    expected = [_kernel(r.counts, roots=bool(roots)) for r in records]
+    columns = _columns.from_records(records)
+    for blocks in (contextlib.nullcontext(), _small_blocks(data)):
+        with blocks:
+            if roots == "j":
+                assert _columns.kernel(columns, "j")[0].tolist() == [row[4] for row in expected]
+            else:
+                assert _kernel_rows(columns, roots) == expected
 
 
 def _falls_back_past(guard, value):

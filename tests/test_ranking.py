@@ -464,6 +464,24 @@ def test_rankings_of_unequal_rosters_raise_on_both_paths():
     assert _on_both_paths(measure) == [("error", "rankings cover different rosters")] * 2
 
 
+def test_association_matrix_without_ids_equals_the_explicit_string_roster():
+    profiles, _ = cohort_profiles()
+    roster = [str(i) for i in range(1, len(profiles) + 1)]
+    left, right = ["T", "h", "g", "R"], ["j", "jS", "h"]
+    for default, explicit in zip(_on_both_paths(lambda: association_matrix(profiles, left, right)),
+                                 _on_both_paths(lambda: association_matrix(profiles, left, right, ids=roster))):
+        assert default == explicit
+
+
+@pytest.mark.parametrize("ids", [None, ["a", "b", "c", "d"]])
+def test_every_ranking_of_one_association_matrix_shares_one_roster(ids):
+    profiles, _ = cohort_profiles()
+    with mock.patch.object(ranking_module, "associate", wraps=associate) as measured:
+        association_matrix(profiles, ["T", "h", "g"], ["j", "jS"], ids=ids)
+    rosters = [ranked.ids for call in measured.call_args_list for ranked in call.args]
+    assert len(rosters) == 12 and all(roster is rosters[0] for roster in rosters)
+
+
 @given(tied_values)
 def test_numpy_rankings_keep_their_ranks_as_a_read_only_array(columns):
     with mock.patch.object(ranking_module, "_NUMPY_FROM", 1):

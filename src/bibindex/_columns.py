@@ -20,11 +20,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .experiments import ManipulationMode
 from .io import _LONG_HEADERS
-from .metrics import MAX_COUNT, CitationRecord, _kernel
+from .metrics import MAX_COUNT, CitationRecord, ManipulationMode, _kernel
 
 _BLOCK_BYTES = 1 << 18   # file bytes read per block (1 << 20 read no faster and peaked 7-9 MB higher)
+_COUNT_BYTES = 1 << 18   # file bytes per chunk of the line count, whatever the block size
 _BLOCK_COUNTS = 1 << 16  # counts per block of researchers in the kernel
 _SHIFT = 31              # sort key: researcher code << _SHIFT | (MAX_COUNT - count)
 _EXACT = 2**53           # running totals below this convert to float exactly
@@ -34,7 +34,7 @@ _TERMS = 1 << 18         # ... and sum exactly below this many terms per researc
 
 
 class Columns(NamedTuple):
-    names: list[str]
+    names: tuple[str, ...]
     counts: np.ndarray   # int64: researcher i's counts, descending, are counts[offsets[i]:offsets[i + 1]]
     offsets: np.ndarray  # int64, len(names) + 1
     totals: np.ndarray   # int64 total_publications
@@ -50,7 +50,7 @@ def _per(values: np.ndarray, offsets: np.ndarray, dtype=np.int64) -> np.ndarray:
 
 def from_records(records: Sequence[CitationRecord]) -> Columns:
     lengths = [len(record.counts) for record in records]
-    return Columns([record.researcher_id for record in records],
+    return Columns(tuple(record.researcher_id for record in records),
                    np.fromiter(chain.from_iterable(record.counts for record in records), np.int64, sum(lengths)),
                    np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
                    np.array([record.total_publications for record in records], np.int64))
@@ -122,8 +122,8 @@ def read_long(data: bytes) -> Columns | None:
     width, limit = len(header), csv.field_size_limit()
     pattern = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint8)
     arr = np.frombuffer(data, np.uint8)
-    lines = sum(int(np.count_nonzero(arr[i:i + _BLOCK_BYTES] == ord("\n")))  # 4x faster than bytes.count
-                for i in range(lo, arr.size, _BLOCK_BYTES))
+    lines = sum(int(np.count_nonzero(arr[i:i + _COUNT_BYTES] == ord("\n")))  # 4x faster than bytes.count
+                for i in range(lo, arr.size, _COUNT_BYTES))
     keys = np.empty(lines, np.int64)  # one row per line
     codes: dict[str, int] = {}
     given: dict[int, int] = {}  # uncited_publications by researcher code
@@ -170,7 +170,7 @@ def read_long(data: bytes) -> Columns | None:
         totals[list(given)] += list(given.values())
     keys &= (1 << _SHIFT) - 1
     np.subtract(MAX_COUNT, keys, out=keys)
-    return Columns(list(codes), keys, offsets, totals)
+    return Columns(tuple(codes), keys, offsets, totals)
 
 
 def manipulated(columns: Columns, mode: ManipulationMode) -> Columns:

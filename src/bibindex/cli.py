@@ -10,19 +10,11 @@ import os
 import sys
 from pathlib import Path
 
-from .experiments import (
-    AssociationTable,
-    ManipulationMode,
-    _manipulation_report,
-    _names,
-    _partitions,
-    _table,
-    reproduce_table,
-)
+from .experiments import AssociationTable, _manipulation_report, _partitions, _table, reproduce_table
 from .io import ParseError, parse_citations_csv, parse_citations_wide
-from .metrics import INDEX_NAMES
+from .metrics import INDEX_NAMES, ManipulationMode
 from .ranking import _ranked, association_grid
-from .reports import FORMATS, CohortTable, emit_report
+from .reports import FORMATS, emit_report
 
 _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
           "decrement": ManipulationMode.DECREMENT_ALL}
@@ -32,6 +24,8 @@ _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
 # against columns, files of 20 counts per researcher (2-vCPU x86-64 VM, Python 3.11, medians
 # of 7): 113 KB 0.11/0.11/0.11 against 0.18/0.18/0.17; 258 KB 0.13/0.14/0.14 against
 # 0.17/0.19/0.18; 387 KB (2,400 researchers: past _NUMPY_FROM) 0.15/0.24/0.24 against 0.19/0.18/0.20.
+# The crossovers differ, so one size is a compromise: manipulate and compare gain on columns by
+# 387 KB, where their rankings load numpy anyway, while indices still loses there.
 _COLUMNS_FROM = 256 << 10
 
 
@@ -125,16 +119,16 @@ def _run(args) -> str:
 
     cohort = _cohort(args)
     if args.command == "indices":
-        return emit_report(CohortTable(_names(cohort), _table(cohort, INDEX_NAMES)), args.format)
+        return emit_report(_table(cohort, INDEX_NAMES), args.format)
 
     if args.command == "compare":
-        table, names = _table(cohort, args.left + args.right), tuple(_names(cohort))  # one roster for every ranking
+        names, table, _ = _table(cohort, args.left + args.right)  # one roster for every ranking
         reports = association_grid(args.left, args.right, lambda name: _ranked(table[name], name, names))
         caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
         return emit_report(AssociationTable("compare", caption, args.left, args.right, tuple(reports)), args.format)
 
     if args.command == "hcore":
-        return emit_report(CohortTable(_names(cohort), *_partitions(cohort)), args.format)
+        return emit_report(_partitions(cohort), args.format)
 
     return emit_report(_manipulation_report(cohort, _MODES[args.mode], args.index), args.format)
 

@@ -1,34 +1,28 @@
-"""Cohort-level procedures: record manipulations, rank-stability reports,
-pooled h-core aggregates, and the reference comparison tables T1..T5."""
+"""Cohort-level procedures: record manipulations, the cohort table of index
+columns, rank-stability reports, pooled h-core aggregates, and the reference
+comparison tables T1..T5."""
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import attrgetter, ne, sub, truediv
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .io import CohortDataset, load_bundled_dataset
 from .metrics import (
-    INDEX_FIELDS,
     MAX_COUNT,
     CitationRecord,
     HCorePartition,
+    ManipulationMode,
     h_core_partition,
+    _field,
     _kernel,
     _record,
 )
 from .ranking import AssociationReport, Ranking, _ranked, association_grid, rank_untied
-
-
-class ManipulationMode(enum.Enum):
-    """The two citation-record transforms used in the robustness analysis."""
-
-    DROP_SINGLETONS = "drop_singletons"
-    DECREMENT_ALL = "decrement_all"
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,15 @@ class AggregateTable:
     rows: tuple[DisciplineAggregate, ...]
 
 
+class CohortTable(NamedTuple):
+    """A cohort as columns in roster order: a sequence per key of ``_table`` (A None where h = 0), or with an
+    ``aggregate``, per key of the h-core split H1..G4.  ``reports`` shows it as a profile or partition report."""
+
+    names: Sequence[str]
+    columns: dict[str, Sequence]
+    aggregate: DisciplineAggregate | None = None
+
+
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5")
 
 _COMPARISON_ROWS = ("T", "h", "g", "j", "jS")
@@ -177,7 +180,7 @@ def rank_change_report(cohort_before: Sequence[CitationRecord],
     ids_before = tuple(r.researcher_id for r in cohort_before)
     if ids_before != tuple(r.researcher_id for r in cohort_after):
         raise ValueError("rosters differ between the two cohorts")
-    before, after = (_ranked(_table(cohort, (index_name,))[index_name], index_name, ids_before)
+    before, after = (_ranked(_table(cohort, (index_name,)).columns[index_name], index_name, ids_before)
                      for cohort in (cohort_before, cohort_after))
     return _diff_rankings(before, after, index_name)
 
@@ -191,39 +194,36 @@ def manipulation_report(cohort: Sequence[CitationRecord],
 
 def _manipulation_report(cohort, mode: ManipulationMode, index_name: str) -> ManipulationReport:
     """Rank a ``_table`` cohort's index values before and after a transform, and diff the rankings."""
-    before_values, after_values = (_table(cohort, (index_name,), m)[index_name] for m in (None, mode))
-    before, after = (_ranked(values, index_name, _names(cohort)) for values in (before_values, after_values))
-    return ManipulationReport(index_name, mode, before.ids, tuple(map(float, before_values)),
-                              tuple(map(float, after_values)), before.ranks, after.ranks,
+    tables = [_table(cohort, (index_name,), m) for m in (None, mode)]
+    before, after = (_ranked(table.columns[index_name], index_name, table.names) for table in tables)
+    before_values, after_values = (tuple(map(float, table.columns[index_name])) for table in tables)
+    return ManipulationReport(index_name, mode, before.ids, before_values, after_values, before.ranks, after.ranks,
                               _diff_rankings(before, after, index_name))
 
 
-def _names(cohort) -> list[str]:
-    """The researchers of a list of records or of ``_columns.Columns``, in roster order."""
-    return [record.researcher_id for record in cohort] if isinstance(cohort, list) else cohort.names
-
-
-def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None) -> dict[str, list]:
+def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None) -> CohortTable:
     """``metrics._kernel`` of each researcher of a list of records or ``_columns.Columns``, after ``mode`` if
     given, as columns T, h, core (the h-core's citations), g, A (None where h = 0), R, j and jS, for the caller
-    to read ``indices``.  Roots are taken only for j or jS, else both read 0.0; on columns, j alone for ("j",)."""
-    unknown = [name for name in indices if name not in INDEX_FIELDS]
-    if unknown:
-        raise ValueError(f"unknown index name: {unknown[0]!r}")
+    to read ``indices``.  Roots are taken only for j or jS, else both read 0.0; ("j",) takes the j column alone."""
+    for name in indices:
+        _field(name)  # raises for an unknown name
     roots = "j" if tuple(indices) == ("j",) else not {"j", "jS"}.isdisjoint(indices)
     if isinstance(cohort, list):
+        names = tuple(record.researcher_id for record in cohort)
         records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
-        columns = [list(column) for column in zip(*(_kernel(record.counts, roots=bool(roots)) for record in records))]
+        rows = [_kernel(record.counts, roots=bool(roots)) for record in records]
+        columns = [[row[4] for row in rows]] if roots == "j" else [list(column) for column in zip(*rows)]
     else:
         from . import _columns
+        names = cohort.names
         cohort = cohort if mode is None else _columns.manipulated(cohort, mode)
-        if roots == "j":
-            return {"j": _columns.kernel(cohort, "j")[0].tolist()}
         columns = [column.tolist() for column in _columns.kernel(cohort, roots)]
+    if roots == "j":
+        return CohortTable(names, {"j": columns[0]})
     table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns or [[]] * 6))
     table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]
     table["R"] = list(map(math.sqrt, table["core"]))
-    return table
+    return CohortTable(names, table)
 
 
 def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
@@ -242,16 +242,16 @@ def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
     return _aggregate(discipline, len(parts), [sum(map(attrgetter(f), parts)) for f in ("h1", "h2", "h3", "h4")])
 
 
-def _partitions(cohort) -> tuple[dict[str, list], DisciplineAggregate]:
-    """``h_core_partition`` of each researcher of a ``_table`` cohort as columns H1..G4, and the aggregate."""
-    table = _table(cohort, ("T", "h"))
+def _partitions(cohort) -> CohortTable:
+    """``h_core_partition`` of each researcher of a ``_table`` cohort as columns H1..G4, with the aggregate."""
+    names, table, _ = _table(cohort, ("T", "h"))
     total, h1 = table["T"], table["core"]
     if 0 in total:
         raise ValueError("no citations: partition proportions are undefined")
     h2 = [h * h for h in table["h"]]
     split = [h1, h2, list(map(sub, h1, h2)), list(map(sub, total, h1))]
     columns = dict(zip("H1 H2 H3 H4 G1 G2 G3 G4".split(), split + [list(map(truediv, c, total)) for c in split]))
-    return columns, _aggregate("cohort", len(total), list(map(sum, split)))
+    return CohortTable(names, columns, _aggregate("cohort", len(total), list(map(sum, split))))
 
 
 def _aggregate(discipline: str, n: int, sum_h: list[int]) -> DisciplineAggregate:

@@ -2,7 +2,8 @@
 
 Covers the classical indicator family (total citations T, h, g, A, R),
 the square-root citation index j and its smoothed companion jS, and the
-partition of a researcher's citations around the h-core (H1..H4, G1..G4).
+partition of a researcher's citations around the h-core (H1..H4, G1..G4),
+plus the one check of index names and the two record transforms' names.
 
 One private kernel makes a single pass over the cited counts; the
 profile is built from it, and each single-index function reads its
@@ -16,6 +17,7 @@ bounded, thread-safe ``lru_cache``s of immutable values: A and R, and whole part
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -113,11 +115,7 @@ class IndexProfile:
 
     def value(self, index_name: str) -> float:
         """Numeric value of the indicator named by its usual label."""
-        try:
-            attr = INDEX_FIELDS[index_name]
-        except KeyError:
-            raise ValueError(f"unknown index name: {index_name!r}") from None
-        value = getattr(self, attr)
+        value = getattr(self, _field(index_name))
         if value is None:
             raise ValueError("A is undefined for records with h = 0")
         return float(value)
@@ -134,6 +132,21 @@ INDEX_FIELDS = {
 }
 
 INDEX_NAMES = tuple(INDEX_FIELDS)
+
+
+def _field(index_name: str) -> str:
+    """The ``IndexProfile`` field of an index name; ValueError for any other name."""
+    try:
+        return INDEX_FIELDS[index_name]
+    except KeyError:
+        raise ValueError(f"unknown index name: {index_name!r}") from None
+
+
+class ManipulationMode(enum.Enum):
+    """The two citation-record transforms used in the robustness analysis."""
+
+    DROP_SINGLETONS = "drop_singletons"
+    DECREMENT_ALL = "decrement_all"
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ from itertools import compress
 from operator import attrgetter, ne
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .metrics import INDEX_FIELDS, IndexProfile
+from .metrics import IndexProfile, _field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,7 +185,11 @@ def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float],
     if not len(values) == len(h) == len(t):
         raise ValueError("values, h and t must have the same shape")
     negated = _negated(values)  # a stable sort on (-value, -h, -T)
-    order = sorted(range(len(negated)), key=lambda i: (negated[i], -float(h[i]), -float(t[i])))
+    minus_h, minus_t = ([-float(v) for v in column] for column in (h, t))
+    for name, column in (("h", minus_h), ("t", minus_t)):
+        if any(map(math.isnan, column)):
+            raise ValueError(f"{name} contains NaN")
+    order = sorted(range(len(negated)), key=lambda i: (negated[i], minus_h[i], minus_t[i]))
     ranks = [0.0] * len(order)
     for position, i in enumerate(order, start=1):
         ranks[i] = float(position)
@@ -358,9 +362,7 @@ def association_matrix(cohort: Sequence[IndexProfile], left: Sequence[str],
     """
     if not cohort:
         raise ValueError("empty cohort")
-    for name in list(left) + list(right):
-        if name not in INDEX_FIELDS:
-            raise ValueError(f"unknown index name: {name!r}")
+    fields = {name: _field(name) for name in [*left, *right]}
     ids = tuple(map(str, range(1, len(cohort) + 1))) if ids is None else tuple(ids)  # one roster for every ranking
     return association_grid(left, right, lambda name: _ranked(
-        list(map(attrgetter(INDEX_FIELDS[name]), cohort)), name, ids))
+        list(map(attrgetter(fields[name]), cohort)), name, ids))

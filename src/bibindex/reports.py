@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .experiments import (AggregateTable, AssociationTable, DisciplineAggregate,
+from .experiments import (AggregateTable, AssociationTable, CohortTable, DisciplineAggregate,
                           ManipulationReport, RankChangeReport)
 from .io import csv_field
 from .metrics import INDEX_FIELDS, INDEX_NAMES, HCorePartition, IndexProfile
@@ -41,15 +41,6 @@ class PartitionReport:
 
     rows: tuple[tuple[str, HCorePartition], ...]
     aggregate: DisciplineAggregate
-
-
-class CohortTable(NamedTuple):
-    """A cohort as columns in roster order, as both reports above are shown: a sequence per index
-    name (A None where h = 0), or with an ``aggregate``, per key of the h-core split H1..G4."""
-
-    names: Sequence[str]
-    columns: dict[str, Sequence]
-    aggregate: DisciplineAggregate | None = None
 
 
 def _rank(value: float) -> str:

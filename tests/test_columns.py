@@ -12,12 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibindex import (
+    FORMATS,
     INDEX_NAMES,
     CitationRecord,
     ManipulationMode,
     ParseError,
+    PartitionReport,
+    ProfileReport,
     apply_manipulation,
     discipline_aggregate,
+    emit_report,
     h_core_partition,
     index_profile,
     parse_citations_csv,
@@ -228,20 +232,46 @@ def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columna
     records = _cohort(drawn)
     cohort = _columns.from_records(records) if columnar else records
     with _small_blocks(data):
-        table = experiments._table(cohort, INDEX_NAMES)
+        names, table, aggregate = experiments._table(cohort, INDEX_NAMES)
         rootless = experiments._table(cohort, ("T", "h", "g"))
         j = experiments._table(cohort, ("j",))
         split = _outcome(lambda: experiments._partitions(cohort))
     profiles = [index_profile(r) for r in records]
+    assert names == tuple(r.researcher_id for r in records) and aggregate is None
     assert table["A"] == [None if p.a is None else float(p.a) for p in profiles]
     assert all(table[name] == [getattr(p, INDEX_FIELDS[name]) for p in profiles] for name in INDEX_NAMES if name != "A")
-    assert rootless == {**table, "j": [0.0] * len(records), "jS": [0.0] * len(records)}
-    assert j == ({"j": table["j"]} if columnar else table)  # columns take the j sums alone
+    assert rootless == (names, {**table, "j": [0.0] * len(records), "jS": [0.0] * len(records)}, None)
+    assert j == (names, {"j": table["j"]}, None)  # both paths take the j sums alone
 
     def library():
         parts = [h_core_partition(r) for r in records]
-        return {key: [getattr(p, key.lower()) for p in parts] for key in split[0]}, discipline_aggregate(parts)
+        return (names, {key: [getattr(p, key.lower()) for p in parts] for key in "H1 H2 H3 H4 G1 G2 G3 G4".split()},
+                discipline_aggregate(parts))
     assert split == _outcome(library)
+
+
+@settings(max_examples=200)
+@given(_cohorts, st.data())
+def test_library_reports_and_cli_tables_print_the_same_bytes(drawn, data):
+    """Uncited researchers (h = 0, so A is undefined) are drawn often; they make the partitions fail."""
+    records = _cohort(drawn)
+    ids = [r.researcher_id for r in records]
+    profiles = ProfileReport(tuple(zip(ids, map(index_profile, records))))
+
+    def library():
+        parts = [h_core_partition(r) for r in records]
+        return PartitionReport(tuple(zip(ids, parts)), discipline_aggregate(parts))
+    partitions = _outcome(library)
+    for cohort in (records, _columns.from_records(records)):
+        with _small_blocks(data):
+            table = experiments._table(cohort, INDEX_NAMES)
+            split = _outcome(lambda: experiments._partitions(cohort))
+        for fmt in FORMATS:
+            assert emit_report(table, fmt) == emit_report(profiles, fmt)
+            if isinstance(partitions, str):  # an uncited researcher: both fail with one message
+                assert split == partitions
+            else:
+                assert emit_report(split, fmt) == emit_report(partitions, fmt)
 
 
 @settings(max_examples=200)

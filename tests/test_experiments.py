@@ -248,6 +248,21 @@ def test_manipulation_report_bundles_everything():
     assert report.mode is ManipulationMode.DROP_SINGLETONS
 
 
+def test_moved_classes_resolve_from_their_old_homes_and_pickles_load():
+    """ManipulationMode lives in metrics and CohortTable in experiments; both stay importable where they were,
+    so a report pickled with the enum under its old module name loads as one pickled now does."""
+    import pickle
+
+    from bibindex import experiments, metrics, reports
+    assert ManipulationMode is experiments.ManipulationMode is metrics.ManipulationMode
+    assert reports.CohortTable is experiments.CohortTable
+    report = manipulation_report([rec("a", [4, 1, 1]), rec("b", [3, 3])], "drop_singletons", "j")
+    now = pickle.dumps(report, 0)
+    assert b"cbibindex.metrics\nManipulationMode\n" in now
+    for data in (now, now.replace(b"cbibindex.metrics\n", b"cbibindex.experiments\n")):
+        assert pickle.loads(data) == report
+
+
 # ---------------------------------------------------------------------------
 # aggregates
 

@@ -518,6 +518,9 @@ def test_both_paths_reject_non_finite_and_unfixed_ranks(ranks):
     (lambda: rank_descending([[1, 2], [3, 4]]), "values must be a non-empty one-dimensional sequence"),
     (lambda: rank_descending(5.0), "values must be a non-empty one-dimensional sequence"),
     (lambda: rank_untied([1, math.nan], [1, 1], [1, 1]), "values contain NaN"),
+    (lambda: rank_untied([1.0, 1.0, 2.0], [math.nan, 1.0, 1.0], [1, 1, 1]), "h contains NaN"),
+    (lambda: rank_untied([1.0, 1.0, 2.0], [1, 1, 1], [1.0, 1.0, math.nan]), "t contains NaN"),
+    (lambda: rank_untied([1, math.nan], [math.nan, 1], [1, 1]), "values contain NaN"),
     (lambda: rank_descending([1, 2], ids=["a"]), "ids and ranks must have the same length"),
     (lambda: association_matrix([index_profile(CitationRecord.from_counts("a", [3, 2])),
                                  index_profile(CitationRecord.from_counts("b", [0]))], ["A"], ["T"]),

@@ -120,16 +120,25 @@ def _csv(view: _View) -> str:
     return "\n".join([",".join(map(csv_field, row)) for row in _text_rows(view, "csv")])
 
 
-def _json_texts(kind: str, column: Sequence) -> Iterable:
-    """A column's cells as json's encoder writes their json values, finite floats by repr; an int kind's as they
-    are, for %d.  A column of str alone, or of finite floats alone, is written without a test per cell.  Each
+_ONE_DECIMAL = 2.0**49  # below it adjacent doubles lie at most 1/16 apart
+
+
+def _json_column(kind: str, column: Sequence) -> tuple[str, Iterable]:
+    """A column's conversion in its part's line template, and the cells it takes.  An int kind's cells are its
+    values, for %d.  A j or jS column of finite floats inside (-``_ONE_DECIMAL``, ``_ONE_DECIMAL``) takes %.1f as it
+    is: %.1f and round(x, 1) both round x half-even to one decimal, and there the double nearest that decimal reprs
+    as it, -0.0 included.  Any other column takes %s over its json values as json's encoder writes them, finite
+    floats by repr.  A column of str alone, or of finite floats alone, is written without a test per cell.  Each
     distinct A or R object is converted once: ``index_profile`` shares them."""
     from json.encoder import JSONEncoder, encode_basestring  # only json-lines output loads json
     convert = _CELLS[kind][1]
     if convert is int:
-        return column
+        return "%d", column
+    if (convert == 1 and len(column) > 0 and {float}.issuperset(map(type, column)) and math.isfinite(sum(column))
+            and -_ONE_DECIMAL < min(column) and max(column) < _ONE_DECIMAL):
+        return "%.1f", column
     if convert is None and {str}.issuperset(map(type, column)):
-        return map(encode_basestring, column)
+        return "%s", map(encode_basestring, column)
     cells = dict(zip(map(id, column), column)) if kind in ("A", "R") else None
     values = column if cells is None else list(cells.values())
     if convert is not None:
@@ -137,20 +146,7 @@ def _json_texts(kind: str, column: Sequence) -> Iterable:
     floats = {float}.issuperset(map(type, values)) and math.isfinite(sum(values))  # finite only if every value is
     encode = JSONEncoder(ensure_ascii=False).encode
     texts = map(repr, values) if floats else (repr(v) if type(v) is float and v - v == 0 else encode(v) for v in values)
-    return texts if cells is None else map(dict(zip(cells, texts)).__getitem__, map(id, column))
-
-
-_ONE_DECIMAL = 2.0**49  # below it adjacent doubles lie at most 1/16 apart
-
-
-def _json_column(kind: str, column: Sequence) -> tuple[str, Iterable]:
-    """A column's conversion in its part's line template, and the values it takes.  A j or jS column of finite
-    floats inside (-``_ONE_DECIMAL``, ``_ONE_DECIMAL``) takes %.1f as it is: %.1f and round(x, 1) both round x
-    half-even to one decimal, and there the double nearest that decimal reprs as it, -0.0 included."""
-    if (_CELLS[kind][1] == 1 and len(column) > 0 and {float}.issuperset(map(type, column))
-            and math.isfinite(sum(column)) and -_ONE_DECIMAL < min(column) and max(column) < _ONE_DECIMAL):
-        return "%.1f", column
-    return "%d" if _CELLS[kind][1] is int else "%s", _json_texts(kind, column)
+    return "%s", texts if cells is None else map(dict(zip(cells, texts)).__getitem__, map(id, column))
 
 
 def _json_lines(view: _View) -> str:

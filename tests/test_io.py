@@ -473,6 +473,23 @@ def test_bundled_rows_satisfy_column_invariants():
             assert 0.0 <= row.g1 <= 1.0
 
 
+# the four bundled rows whose published g breaks g² ≤ T; the bundle keeps the published values
+_G_SQUARED_ABOVE_T = {("immunology", "Takeuchi, Osamu"), ("immunology", "Samraoui, Boudjema"),
+                      ("economics", "Kahneman, Daniel"), ("economics", "Lakonishok, Josef")}
+
+
+def test_bundled_rows_keep_the_relations_of_any_citation_list_but_four_published_g_values():
+    # h ≤ cited, h² ≤ T, j ≥ √T and j ≥ h·√h hold on every row; g² ≤ T fails on the four rows above alone
+    above = set()
+    for discipline in ("immunology", "economics", "physics"):
+        for row in load_bundled_dataset(discipline).rows:
+            assert row.h <= row.cited and row.h * row.h <= row.total_citations, row
+            assert row.j >= math.sqrt(row.total_citations) and row.j >= row.h * math.sqrt(row.h), row
+            if row.g * row.g > row.total_citations:
+                above.add((discipline, row.name))
+    assert above == _G_SQUARED_ABOVE_T
+
+
 def test_unknown_discipline():
     with pytest.raises(ValueError, match="unknown discipline"):
         load_bundled_dataset("astrology")
@@ -671,6 +688,27 @@ def test_json_lines_of_a_real_cohort_are_the_rows_as_json_writes_dicts():
                 *(reproduce_table(t) for t in range(1, 6))]
     for report in reports_:
         assert emit_report(report, "json-lines") == _reference_json_lines(report)
+
+
+def test_json_lines_convert_each_distinct_a_and_r_object_once(monkeypatch):
+    # five (core, h) pairs, h = 0 among them, so index_profile hands out five A and five R objects
+    shapes = [[0, 0], [3, 1], [5, 5, 2], [9, 4, 4, 1], [2]]
+    report = ProfileReport(tuple((f"r{i}", index_profile(CitationRecord.from_counts(f"r{i}", shapes[i % 5])))
+                                 for i in range(1000)))
+    expected = _reference_json_lines(report)
+    seen = {"A": [], "R": []}
+
+    def counted(kind):
+        convert = _converter(reports._CELLS[kind][1])
+        return reports._CELLS[kind][0], lambda value: seen[kind].append(value) or convert(value)
+
+    for kind in seen:
+        monkeypatch.setitem(reports._CELLS, kind, counted(kind))
+    assert emit_report(report, "json-lines") == expected
+    for kind, field in (("A", "a"), ("R", "r")):
+        distinct = {id(getattr(profile, field)) for _, profile in report.rows}
+        assert len(distinct) == 5
+        assert sorted(map(id, seen[kind])) == sorted(distinct)
 
 
 # j and jS written by %.1f in the line template where that equals the rounded repr

@@ -509,7 +509,10 @@ def test_fast_builds_match_the_public_constructors(name, counts, uncited):
 
     if counts:
         long_text = records_to_csv([record])
-        wide_text = ",".join([csv_field(name), *map(str, counts)]) + "\n"
+        # a wide file starts with the first name, and a leading U+FEFF there is read as a byte-order
+        # mark, so a writer keeps such a name by putting a real byte-order mark before it
+        bom = "\ufeff" if name.startswith("\ufeff") else ""
+        wide_text = bom + ",".join([csv_field(name), *map(str, counts)]) + "\n"
         assert_like_constructed(parse_citations_csv(io.StringIO(long_text, newline=""))[0], record)
         assert_like_constructed(parse_citations_wide(io.StringIO(wide_text, newline=""))[0],
                                 CitationRecord(name, ordered, len(counts)))

@@ -14,7 +14,7 @@ from .experiments import AssociationTable, _manipulation_report, _partitions, _t
 from .io import ParseError, parse_citations_csv, parse_citations_wide
 from .metrics import INDEX_NAMES, ManipulationMode
 from .ranking import _ranked, association_grid
-from .reports import FORMATS, emit_report
+from .reports import FORMATS, _lines
 
 _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
           "decrement": ManipulationMode.DECREMENT_ALL}
@@ -113,24 +113,24 @@ def _cohort(args):
     return columns or _columns.from_records(_load_records(args))
 
 
-def _run(args) -> str:
+def _run(args):  # the command's report
     if args.command == "reproduce":
-        return emit_report(reproduce_table(args.table), args.format)
+        return reproduce_table(args.table)
 
     cohort = _cohort(args)
     if args.command == "indices":
-        return emit_report(_table(cohort, INDEX_NAMES), args.format)
+        return _table(cohort, INDEX_NAMES)
 
     if args.command == "compare":
         names, table, _ = _table(cohort, args.left + args.right)  # one roster for every ranking
         reports = association_grid(args.left, args.right, lambda name: _ranked(table[name], name, names))
         caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
-        return emit_report(AssociationTable("compare", caption, args.left, args.right, tuple(reports)), args.format)
+        return AssociationTable("compare", caption, args.left, args.right, tuple(reports))
 
     if args.command == "hcore":
-        return emit_report(_partitions(cohort), args.format)
+        return _partitions(cohort)
 
-    return emit_report(_manipulation_report(cohort, _MODES[args.mode], args.index), args.format)
+    return _manipulation_report(cohort, _MODES[args.mode], args.index)
 
 
 def cli_dispatch(argv) -> int:
@@ -142,8 +142,8 @@ def cli_dispatch(argv) -> int:
             args = parser.parse_args(list(argv))
         except SystemExit:  # argparse --help has written the help, flushed below; usage errors raise UsageError
             args = None
-        output = "" if args is None else _run(args) + "\n"
-        sys.stdout.write(output)
+        output = () if args is None else _lines(_run(args), args.format)
+        sys.stdout.writelines("\n".join(lines) + "\n" for lines in output)  # emit_report's text and a newline
         sys.stdout.flush()
     except UsageError as err:
         sys.stderr.write(f"{err}\n")

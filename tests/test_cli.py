@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bibindex
-from bibindex import cli
+from bibindex import cli, reports
 from bibindex.cli import cli_dispatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -394,13 +394,19 @@ def test_json_is_imported_only_for_json_lines():
 
 @pytest.fixture(scope="module")
 def output_runs(tmp_path_factory):
-    """A run per input path: a small file's records, a large file's columns, and the bundled tables."""
-    large = tmp_path_factory.mktemp("output") / "large.csv"
-    large.write_text("researcher,citations\n" + "".join(f"r{i % 500},{i % 9 + 1}\n" for i in range(1 << 16)),
-                     encoding="utf-8")
-    assert large.stat().st_size >= cli._COLUMNS_FROM
+    """A run per input path: a small file's records, a large file's columns, and the bundled tables; and on each
+    path an ``indices`` of more than three blocks of rows."""
+    out = tmp_path_factory.mktemp("output")
+    (out / "large").write_text("researcher,citations\n" + "".join(f"r{i % 500},{i % 9 + 1}\n" for i in range(1 << 16)),
+                               encoding="utf-8")
+    for name, researchers, rows in (("records-3-blocks", 13_000, 13_000), ("columns-3-blocks", 20_000, 60_000)):
+        (out / name).write_text("researcher,citations\n" + "".join(
+            f"r{i * researchers // rows:05d},{i % 9 + 1}\n" for i in range(rows)), encoding="utf-8")
+    assert 3 * reports._BLOCK < 13_000 and (out / "records-3-blocks").stat().st_size < cli._COLUMNS_FROM
+    assert (out / "large").stat().st_size >= cli._COLUMNS_FROM <= (out / "columns-3-blocks").stat().st_size
     return {"records": ["indices", str(Path(__file__).parent / "data" / "golden_cohort.csv")],
-            "columns": ["indices", str(large)], "reproduce": ["reproduce", "--table", "1"]}
+            "columns": ["indices", str(out / "large")], "reproduce": ["reproduce", "--table", "1"],
+            **{name: ["indices", str(out / name)] for name in ("records-3-blocks", "columns-3-blocks")}}
 
 
 def _run_into(stdout, argv, env=None):
@@ -408,7 +414,10 @@ def _run_into(stdout, argv, env=None):
                           env=env or _child_env(), timeout=120)
 
 
-@pytest.mark.parametrize("path", ["records", "columns", "reproduce"])
+_OUTPUT_PATHS = ["records", "columns", "reproduce", "records-3-blocks", "columns-3-blocks"]
+
+
+@pytest.mark.parametrize("path", _OUTPUT_PATHS)
 def test_a_reader_that_has_gone_ends_the_run_with_status_2_and_no_message(output_runs, path):
     read, write = os.pipe()
     os.close(read)
@@ -420,12 +429,27 @@ def test_a_reader_that_has_gone_ends_the_run_with_status_2_and_no_message(output
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("path", ["records", "columns", "reproduce"])
+@pytest.mark.parametrize("path", _OUTPUT_PATHS)
 def test_a_full_device_ends_the_run_with_status_2_and_one_error_line(output_runs, path):
     with open("/dev/full", "wb") as full:
         done = _run_into(full, output_runs[path])
     message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert (done.returncode, done.stderr.decode()) == (2, message)
+
+
+@pytest.mark.parametrize("path", ["records-3-blocks", "columns-3-blocks"])
+def test_a_reader_that_leaves_after_the_first_blocks_ends_the_run_with_status_2_and_no_message(output_runs, path):
+    whole = _run_into(subprocess.PIPE, output_runs[path]).stdout
+    read, write = os.pipe()
+    child = subprocess.Popen([sys.executable, "-m", "bibindex.cli", *output_runs[path]], stdout=write,
+                             stderr=subprocess.PIPE, env=_child_env())
+    os.close(write)
+    with open(read, "rb") as reader:  # half the output: past the first block, and more than the pipe holds is left
+        head = reader.read(len(whole) // 2)
+    stderr = child.communicate(timeout=120)[1]
+    assert head == whole[:len(whole) // 2] and head.count(b"\n") > reports._BLOCK + 1
+    assert len(whole) // 2 > 1 << 16
+    assert (child.returncode, stderr) == (2, b"")
 
 
 def _buffering_env(unbuffered):

@@ -7,7 +7,9 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import cycle, islice
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from bibindex import (
     reproduce_table,
 )
 from bibindex import reports
+from bibindex.io import csv_field
 from bibindex.ranking import AssociationReport
 from bibindex.reports import CohortTable
 
@@ -600,8 +603,10 @@ def test_emit_is_deterministic():
 # json-lines against the json module writing each row as a dict
 
 _json_names = st.text(st.sampled_from('ab"\\\x00\x1f\x7f é中😀 ,\n\t'), min_size=1, max_size=6) | st.integers()
-_any_floats = st.floats() | st.integers(-5, 5)  # NaN, ±inf and ints among the floats
+_edges = st.sampled_from([0.0, -0.0, 0.5, 2.5, 3.0, math.inf, math.nan])
+_any_floats = st.floats() | st.integers(-5, 5) | st.floats(0, 1e6) | _edges  # NaN, ±inf, -0.0 and ints among them
 _ints = st.integers(0, 10**12)
+_ranks = _any_floats | st.integers(0, 2**49).map(lambda k: k / 2)  # half-integers on both sides of 2**46 and 1e14
 
 
 def _profiles(draw):
@@ -615,8 +620,8 @@ def _aggregate(draw):
 
 
 @st.composite
-def _reports(draw):
-    names = draw(st.lists(_json_names, max_size=5))
+def _reports(draw, min_names=0):
+    names = draw(st.lists(_json_names, min_size=min_names, max_size=5))
     kind = draw(st.sampled_from(["profile", "partition", "table", "split", "association", "aggregate",
                                  "aggregates", "change", "manipulation"]))
     if kind == "profile":
@@ -643,14 +648,14 @@ def _reports(draw):
         rows = [_aggregate(draw) for _ in names]
         return AggregateTable("T5", "caption", tuple(row if with_h else dataclasses.replace(
             row, mean_h1=None, mean_h2=None, mean_h3=None, mean_h4=None) for row in rows))
-    ranks = st.lists(_any_floats, min_size=2, max_size=2)
+    ranks = st.lists(_ranks, min_size=2, max_size=2)
     change = RankChangeReport(draw(_json_names), tuple((a, b, tuple(draw(ranks))) for a, b in zip(names, names[1:])),
                               tuple((name, *draw(ranks)) for name in names), draw(_ints))
     if kind == "change":
         return change
     index = draw(st.sampled_from(INDEX_NAMES))
     values = _ints if index in ("T", "h", "g") else _any_floats
-    columns = [tuple(draw(values if i % 2 == 0 else _any_floats) for _ in names) for i in range(4)]
+    columns = [tuple(draw(values if i % 2 == 0 else _ranks) for _ in names) for i in range(4)]
     return ManipulationReport(index, draw(st.sampled_from(list(ManipulationMode))), tuple(names), columns[0],
                               columns[2], columns[1], columns[3], change)
 
@@ -662,6 +667,11 @@ def _converter(convert):
     return (lambda value: round(value, convert)) if type(convert) is int else convert
 
 
+def _part_rows(part):
+    """A part's rows, read as one block."""
+    return list(zip(*part.block(0, part.count))) if part.count else []
+
+
 def _reference_json_lines(report):
     encode = json.JSONEncoder(ensure_ascii=False).encode
     lines = []
@@ -669,7 +679,7 @@ def _reference_json_lines(report):
         if "json-lines" in part.formats:
             converters = [_converter(reports._CELLS[kind][1]) for _, kind in part.columns]
             lines += [encode({key: convert(value) for (key, _), convert, value in zip(part.columns, converters, row)})
-                      for row in zip(*part.values)]
+                      for row in _part_rows(part)]
     return "\n".join(lines)
 
 
@@ -690,25 +700,122 @@ def test_json_lines_of_a_real_cohort_are_the_rows_as_json_writes_dicts():
         assert emit_report(report, "json-lines") == _reference_json_lines(report)
 
 
+# every format, block by block, against cell-by-cell references
+
+def _reference_text(report, fmt):
+    """Plain or csv as every cell's _CELLS text: csv quotes them, plain pads each to its column's widest and strips
+    each line's end, then adds the caption above and a manipulation's rank changes below."""
+    view = reports._view(report)
+    parts = [part for part in view.parts if fmt in part.formats]
+    header = tuple(dict.fromkeys(key for part in parts for key, _ in part.columns))
+    rows = [header]
+    for part in parts:
+        for row in _part_rows(part):
+            cells = {key: reports._CELLS[kind][0](value) for (key, kind), value in zip(part.columns, row)}
+            rows.append([cells.get(key, "") for key in header])
+    if fmt == "csv":
+        return "\n".join(",".join(map(csv_field, row)) for row in rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
+    if isinstance(report, ManipulationReport):
+        lines += ["", *reports._prose(report.change)]
+    return "\n".join(lines if view.caption is None else [view.caption, *lines])
+
+
+def _cycled(report, n):
+    """The report with its rows (researchers, association cells, swaps and moves) cycled or cut to ``n``."""
+    grow = lambda rows: tuple(islice(cycle(rows), n))
+    if isinstance(report, CohortTable):
+        return report._replace(names=grow(report.names), columns={k: grow(v) for k, v in report.columns.items()})
+    if not dataclasses.is_dataclass(report):
+        return report
+    rows = {"rows", "reports", "swaps", "moves", "ids", "before_values", "after_values", "before_ranks", "after_ranks"}
+    return dataclasses.replace(report, **{f.name: grow(getattr(report, f.name)) for f in dataclasses.fields(report)
+                                          if f.name in rows}, **({"change": _cycled(report.change, n)}
+                                                                 if isinstance(report, ManipulationReport) else {}))
+
+
+def _text_or_error(render, report, fmt):
+    try:
+        return render(report, fmt)
+    except (TypeError, ValueError, OverflowError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("block, examples", [(1, 150), (2, 150), (3, 150), (reports._BLOCK, 12)])
+def test_every_format_written_block_by_block_is_written_cell_by_cell(block, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(_reports(min_names=1), st.sampled_from([0, 1, block - 1, block + 1, 2 * block + 1]))
+    def check(report, n):
+        report = _cycled(report, n)
+        assert emit_report(report, "json-lines") == _reference_json_lines(report)
+        fmts = ["csv", "plain"] if not reports._view(report).layout or isinstance(report, ManipulationReport) else ["csv"]
+        for fmt in fmts:  # plain but for the grid and the prose; a cell without text (a None mean) fails either way
+            assert _text_or_error(emit_report, report, fmt) == _text_or_error(_reference_text, report, fmt)
+
+    with mock.patch.object(reports, "_BLOCK", block):
+        check()
+
+
+# pairs of cells that one block's template must not mistake: a width set by the larger of two numbers, a sign, a
+# rank past the bound of %.15g
+_EDGE_PAIRS = [[1.0, math.inf], [1.0, math.nan], [3.0, 2.5], [0.0, -0.0], [2.5, -0.25], [1e300, 1.0],
+               [1.0, 2.0**46 + 0.5], [3.0, 1e14 + 0.5]]
+
+
+@pytest.mark.parametrize("block", [1, 2, reports._BLOCK])
+@pytest.mark.parametrize("cells", _EDGE_PAIRS, ids=repr)
+def test_edge_cells_in_one_block_are_written_cell_by_cell(block, cells):
+    names = ["r,1", "r\"2"]
+    table = CohortTable(names, {"T": [1, 2], "h": [1, 0], "g": [1, 2], "A": [cells[0], None], "R": cells, "j": cells,
+                                "jS": cells})
+    change = RankChangeReport("R", (), (("r,1", *cells),), 0)
+    manipulation = ManipulationReport("R", ManipulationMode.DECREMENT_ALL, tuple(names), tuple(cells), cells[::-1],
+                                      cells, cells[::-1], change)
+    with mock.patch.object(reports, "_BLOCK", block):
+        for report in (table, manipulation):
+            for fmt in ("plain", "csv"):
+                assert _text_or_error(emit_report, report, fmt) == _text_or_error(_reference_text, report, fmt)
+            assert emit_report(report, "json-lines") == _reference_json_lines(report)
+
+
+def _json_lines_counting_a_and_r(monkeypatch, report):
+    """json-lines of ``report``, and the A and R values its json converters were called with."""
+    seen = {"A": [], "R": []}
+
+    def counted(kind):
+        convert = _converter(reports._CELLS[kind][1])
+        return reports._CELLS[kind][0], lambda value: seen[kind].append(value) or convert(value), reports._CELLS[kind][2]
+
+    for kind in seen:
+        monkeypatch.setitem(reports._CELLS, kind, counted(kind))
+    return emit_report(report, "json-lines"), seen
+
+
 def test_json_lines_convert_each_distinct_a_and_r_object_once(monkeypatch):
     # five (core, h) pairs, h = 0 among them, so index_profile hands out five A and five R objects
     shapes = [[0, 0], [3, 1], [5, 5, 2], [9, 4, 4, 1], [2]]
     report = ProfileReport(tuple((f"r{i}", index_profile(CitationRecord.from_counts(f"r{i}", shapes[i % 5])))
                                  for i in range(1000)))
     expected = _reference_json_lines(report)
-    seen = {"A": [], "R": []}
-
-    def counted(kind):
-        convert = _converter(reports._CELLS[kind][1])
-        return reports._CELLS[kind][0], lambda value: seen[kind].append(value) or convert(value)
-
-    for kind in seen:
-        monkeypatch.setitem(reports._CELLS, kind, counted(kind))
-    assert emit_report(report, "json-lines") == expected
+    text, seen = _json_lines_counting_a_and_r(monkeypatch, report)
+    assert text == expected
     for kind, field in (("A", "a"), ("R", "r")):
         distinct = {id(getattr(profile, field)) for _, profile in report.rows}
         assert len(distinct) == 5
         assert sorted(map(id, seen[kind])) == sorted(distinct)
+
+
+def test_json_lines_of_a_cohort_table_convert_every_a_and_r_cell(monkeypatch):
+    # experiments._table makes a float per researcher, so a table's cells share no objects to convert once.  Here
+    # all ten A cells are one object, and so are all ten R cells: the profile rows convert each once, the table ten times
+    profiles, table = _j_reports("j", [0.5] * 10)
+    for report, calls in ((profiles, 1), (table, 10)):
+        expected = _reference_json_lines(report)
+        text, seen = _json_lines_counting_a_and_r(monkeypatch, report)
+        monkeypatch.undo()
+        assert text == expected
+        assert (len(seen["A"]), len(seen["R"])) == (calls, calls)
 
 
 # j and jS written by %.1f in the line template where that equals the rounded repr

@@ -3,11 +3,10 @@
 Each report type is described once as a table view: rows of named columns,
 each with a cell kind, and an optional caption.  Generic renderers turn any
 view into ``plain`` (aligned columns), ``csv`` or ``json-lines`` (an object per
-row, keyed by column names), reading ``_BLOCK`` rows at a time and writing each
-block by one row template.  ``_CELLS`` states the display precision of every
-cell kind once, for text and json alike, so identical inputs always yield
-identical bytes.  The association grid and the rank-change prose are the
-two plain layouts that are not tables.
+row, keyed by column names), reading and writing ``_BLOCK`` rows at a time.
+``_CELLS`` states the display precision of every cell kind once, for text and
+json alike, so identical inputs always yield identical bytes.  The association
+grid and the rank-change prose are the two plain layouts that are not tables.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import singledispatch
 from itertools import chain, repeat
-from operator import attrgetter, not_
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .experiments import (AggregateTable, AssociationTable, CohortTable, DisciplineAggregate,
@@ -53,18 +52,18 @@ def _share(share: float) -> str:
     return "0.000" if text == "-0.000" else text  # a share in (-0.0005, 0] is written unsigned
 
 
-# (text cell, json value, text template) per cell kind; a json converter of None keeps the value as it is, and a
-# number n rounds it to n digits.  Index values use the index names as kinds; "int" is any other integer, "mean" a
+# (text cell, json value) per cell kind; a json converter of None keeps the value as it is, and a number n
+# rounds it to n digits.  Index values use the index names as kinds; "int" is any other integer, "mean" a
 # cohort mean of H values, "share" an association measure or G proportion.
 _CELLS = {
-    "str": (str, None, None),
-    **dict.fromkeys(("T", "h", "g", "int"), ("%d".__mod__, int, "d")),
+    "str": (str, None),
+    **dict.fromkeys(("T", "h", "g", "int"), ("%d".__mod__, int)),
     "A": (lambda a: "-" if a is None else "%.2f" % a,  # undefined when h = 0
-          lambda a: None if a is None else round(float(a), 2), ".2f"),
-    **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, 2, ".2f")),
-    **dict.fromkeys(("j", "jS"), ("%.1f".__mod__, 1, ".1f")),
-    "share": (_share, lambda x: round(x, 3) + 0.0, ".3f"),  # + 0.0 turns the -0.0 of round into 0.0
-    "rank": (_rank, None, ".15g"),
+          lambda a: None if a is None else round(float(a), 2)),
+    **dict.fromkeys(("R", "mean"), ("%.2f".__mod__, 2)),
+    **dict.fromkeys(("j", "jS"), ("%.1f".__mod__, 1)),
+    "share": (_share, lambda x: round(x, 3) + 0.0),  # + 0.0 turns the -0.0 of round into 0.0
+    "rank": (_rank, None),
 }
 _BLOCK = 1 << 12  # rows rendered at a time; lib-cohort-100k's peak fell 4.1 MB from whole columns, 1.5 at 1 << 16
 
@@ -99,9 +98,10 @@ def _stored(columns, values: Sequence[Sequence]) -> _Rows:
 def _objects(columns, rows: Sequence[tuple]) -> _Rows:
     """Rows of (name, object) as the name and the object's field of each further column: an index's, else the key's."""
     fields = [attrgetter(INDEX_FIELDS.get(key, key.lower())) for key, _ in columns[1:]]
-    def block(lo, hi):
-        names, objects = zip(*rows[lo:hi])
-        return [names, *(list(map(field, objects)) for field in fields)]
+    def block(lo, hi):  # zip(*pairs) would make an iterator, a gc-tracked object, per row
+        pairs = rows[lo:hi]
+        objects = [obj for _, obj in pairs]
+        return [[name for name, _ in pairs], *(list(map(field, objects)) for field in fields)]
     return _Rows(columns, len(rows), block, shared=True)  # index_profile shares A and R objects
 
 
@@ -111,42 +111,28 @@ class _View(NamedTuple):
     layout: Callable[[], Iterable[list[str]]] | None = None  # plain blocks of lines that are not a table
 
 
-def _text_column(kind: str, column: Sequence) -> tuple[str, Sequence]:
-    """A block column's conversion in a text row template and the cells it takes: its kind's template and values for
-    finite non-negative ints and floats but -0.0 (ranks: half-integers below 2**46, where %.15g writes every digit),
-    else %s and their texts."""
-    spec = _CELLS[kind][2]
-    if spec and {int, float}.issuperset(map(type, column)):
-        total, signs = sum(column), map(math.copysign, repeat(1.0), filter(not_, column))  # of the zeros
-        if (total - total == 0 and min(column) >= 0 and min(signs, default=1.0) > 0
-                and (spec != ".15g" or max(column) < 2.0**46 and all(map(float.is_integer, map(2.0.__mul__, column))))):
-            return spec, column
-    return "s", list(map(_CELLS[kind][0], column))
-
-
 def _text(view: _View, fmt: str) -> Iterator[list[str]]:
-    """The view's plain or csv lines, a block of rows at a time by one row template.  The header is every key shown,
-    blank in a part that lacks it.  Plain pads each column to its widest cell, found by a first pass; csv quotes."""
+    """The view's plain or csv lines, a block of rows at a time, each cell its kind's text.  The header is every key
+    shown, blank in a part that lacks it.  Plain pads each column to its widest cell, found by a first pass whose
+    texts it keeps for the second; csv quotes."""
     parts = [part for part in view.parts if fmt in part.formats]
     header = tuple(dict.fromkeys(key for part in parts for key, _ in part.columns))
     plain, sep = fmt == "plain", "  " if fmt == "plain" else ","
+    blocks = ({key: list(map(_CELLS[kind][0], column)) for (key, kind), column in zip(part.columns, block)}
+              for part in parts for block in part.blocks())
     widths = {key: len(key) if plain else 0 for key in header}
-    for part in parts if plain else ():  # a non-negative number's text widens with it, a rank's also with ".5"
-        for block in part.blocks():
-            for (key, kind), column in zip(part.columns, block):
-                spec, cells = _text_column(kind, column)
-                texts = cells if spec == "s" else map(f"%{spec}".__mod__, cells if spec == ".15g" else [max(cells)])
-                widths[key] = max(widths[key], *map(len, texts))
+    if plain:
+        blocks = list(blocks)
+        for texts in blocks:
+            for key, column in texts.items():
+                widths[key] = max(widths[key], max(map(len, column)))
     head = sep.join(f"%-{widths[key]}s" for key in header) % tuple(header if plain else map(csv_field, header))
     yield [head.rstrip()] if view.caption is None or not plain else [view.caption, head.rstrip()]
-    for part in parts:
-        for block in part.blocks():
-            cells = {key: _text_column(kind, column) for (key, kind), column in zip(part.columns, block)}
-            template = sep.join(f"%-{widths[key]}{cells[key][0]}" if key in cells else " " * widths[key]
-                                for key in header)
-            lines = map(template.__mod__, zip(*[column if plain or spec != "s" else map(csv_field, column)
-                                                for spec, column in (cells[key] for key in header if key in cells)]))
-            yield [line.rstrip() for line in lines] if plain else list(lines)
+    for texts in blocks:
+        template = sep.join(f"%-{widths[key]}s" if key in texts else " " * widths[key] for key in header)
+        lines = map(template.__mod__, zip(*[texts[key] if plain else map(csv_field, texts[key])
+                                            for key in header if key in texts]))
+        yield [line.rstrip() for line in lines] if plain else list(lines)
 
 
 _ONE_DECIMAL = 2.0**49  # below it adjacent doubles lie at most 1/16 apart

@@ -8,7 +8,8 @@ high = floor(t * 2**20) / 2**20 and low = t - high, both exact.  Highs are multi
 2**-20 below 2**15, so while a researcher has fewer than 2**18 terms every partial sum of
 them is a multiple of 2**-20 below 2**33: 53 bits, exact.  Lows are multiples of 2**-52
 (as t >= 1) below 2**-20, so their partial sums, below 2**-2, are exact too.  One float add
-of the two sums is then the correctly rounded sum of the terms: what math.fsum returns."""
+of the two sums is then the correctly rounded sum of the terms: what math.fsum returns.
+A block with more terms takes the scalar kernel for roots.  With fewer, cum / rank reads cum < 2**48 exactly."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ _BLOCK_BYTES = 1 << 18   # file bytes read per block (1 << 20 read no faster and
 _COUNT_BYTES = 1 << 18   # file bytes per chunk of the line count, whatever the block size
 _BLOCK_COUNTS = 1 << 16  # counts per block of researchers in the kernel
 _SHIFT = 31              # sort key: researcher code << _SHIFT | (MAX_COUNT - count)
-_EXACT = 2**53           # running totals below this convert to float exactly
 _SAME_BYTES = 32         # longer names are decoded on every row
 _SPLIT = 2.0**20         # j and jS terms split at this scale (module docstring)
 _TERMS = 1 << 18         # ... and sum exactly below this many terms per researcher
@@ -206,14 +206,14 @@ def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool | str) -> list[n
     counts are a prefix: every index is computed on ``c``, the cited counts alone."""
     cited = counts > 0
     c, n = counts[cited], _per(cited, offsets)  # researcher i's cited counts are c[starts[i]:starts[i + 1]]
-    starts = np.concatenate(([0], np.cumsum(n)))
-    if roots == "j" and n.max() < _TERMS:
-        return [_sums(np.sqrt(c), starts)]
-    run = np.concatenate(([0], np.cumsum(c)))
-    if run[-1] >= _EXACT or roots and n.max() >= _TERMS:  # cum / rank would round, or the split sums
-        rows = [_kernel(counts[a:b].tolist(), roots=bool(roots)) for a, b in zip(offsets[:-1], offsets[1:])]
+    if roots and n.max() >= _TERMS:  # the split sums could round (module docstring)
+        rows = [_kernel(counts[a:b].tolist(), roots=True) for a, b in zip(offsets[:-1], offsets[1:])]
         columns = [np.array(column, dtype) for column, dtype in zip(zip(*rows), [np.int64] * 4 + [float] * 2)]
         return columns[4:5] if roots == "j" else columns
+    starts = np.concatenate(([0], np.cumsum(n)))
+    if roots == "j":
+        return [_sums(np.sqrt(c), starts)]
+    run = np.concatenate(([0], np.cumsum(c)))
     first = np.repeat(starts[:-1], n)
     rank = np.arange(1, c.size + 1) - first
     cum = run[1:] - run[first]

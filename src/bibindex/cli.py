@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors and failed writes 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -38,7 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}error: {message}")  # a subcommand's own usage
 
     def print_help(self, file=None):  # argparse's own drops an OSError of the write; this one raises it
-        (sys.stdout if file is None else file).write(self.format_help())
+        (_stdout() if file is None else file).write(self.format_help())
+
+
+def _stdout():  # None if descriptor 1 was closed at start-up; never reopened, as the next open takes its number
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))  # a failed write: status 2
+    return sys.stdout
 
 
 def build_parser() -> _Parser:
@@ -136,24 +143,26 @@ def _run(args):  # the command's report
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
     parser = build_parser()
-    output = None
+    stdout = None
     try:
         try:
             args = parser.parse_args(list(argv))
         except SystemExit:  # argparse --help has written the help, flushed below; usage errors raise UsageError
             args = None
         output = () if args is None else _lines(_run(args), args.format)
-        sys.stdout.writelines("\n".join(lines) + "\n" for lines in output)  # emit_report's text and a newline
-        sys.stdout.flush()
+        stdout = _stdout()
+        stdout.writelines("\n".join(lines) + "\n" for lines in output)  # emit_report's text and a newline
+        stdout.flush()
     except UsageError as err:
-        sys.stderr.write(f"{err}\n")
+        if sys.stderr is not None:  # None if descriptor 2 was closed at start-up: the status alone tells
+            sys.stderr.write(f"{err}\n")
         return 1
     except (ParseError, ValueError, OSError) as err:
-        if output is not None and isinstance(err, OSError):  # stdout refused the output: the interpreter's
+        if stdout is not None and isinstance(err, OSError):  # stdout refused the output: the interpreter's
             devnull = os.open(os.devnull, os.O_WRONLY)  # final flush of what it still holds goes nowhere
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, stdout.fileno())
             os.close(devnull)
-        if not isinstance(err, BrokenPipeError):  # a reader that has gone is told nothing
+        if not isinstance(err, BrokenPipeError) and sys.stderr is not None:  # a reader that has gone is told nothing
             sys.stderr.write(f"error: {err}\n")
         return 2
     return 0

@@ -489,3 +489,31 @@ def test_help_to_a_working_stdout_ends_with_status_0(argv, unbuffered):
     done = _run_into(subprocess.PIPE, argv, _buffering_env(unbuffered))
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.startswith(b"usage: bibindex")
+
+
+def _run_closed(fd, argv):
+    """A run whose descriptor ``fd`` is closed before the interpreter starts, as by ``>&-`` or ``2>&-``."""
+    return subprocess.run([sys.executable, "-m", "bibindex.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(fd), env=_child_env(), timeout=120)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes a descriptor in the child before exec")
+@pytest.mark.parametrize("argv", [*_OUTPUT_PATHS, *map(" ".join, _HELP)])
+def test_a_closed_stdout_ends_the_run_with_status_2_and_one_error_line(output_runs, argv):
+    done = _run_closed(1, output_runs.get(argv) or argv.split())
+    message = f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (2, b"", message)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes a descriptor in the child before exec")
+@pytest.mark.parametrize(("argv", "status"), [(["indices", "/nonexistent/cohort.csv"], 2), (["indices"], 1)])
+def test_a_closed_stderr_keeps_the_exit_status(argv, status):
+    done = _run_closed(2, argv)
+    assert (done.returncode, done.stdout, done.stderr) == (status, b"", b"")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes a descriptor in the child before exec")
+def test_a_closed_stderr_leaves_a_run_and_its_output_as_they_are(output_runs):
+    done = _run_closed(2, output_runs["records"])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == _run_into(subprocess.PIPE, output_runs["records"]).stdout != b""

@@ -321,22 +321,33 @@ def test_kernel_reads_uncited_rows_like_the_library(drawn, roots, data):
                 assert _kernel_rows(columns, roots) == expected
 
 
-def _falls_back_past(guard, value):
-    """With ``_columns.<guard>`` set to ``value``, blocks take ``metrics._kernel`` and agree with it."""
+def test_kernel_falls_back_to_the_scalar_kernel_past_exact_sums():
+    """With ``_TERMS`` at 3, blocks holding a researcher of 3 or more cited papers take ``metrics._kernel``."""
     records = [CitationRecord.from_counts(f"r{i}", [i + 3, 2, 1, 0][:i + 1]) for i in range(5)]
     columns = _columns.from_records(records)
-    with mock.patch.object(_columns, guard, value), mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
+    with mock.patch.object(_columns, "_TERMS", 3), mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
         assert _kernel_rows(columns) == [_kernel(r.counts) for r in records]
         assert _columns.kernel(columns, "j")[0].tolist() == [_kernel(r.counts)[4] for r in records]
     assert scalar.called
 
 
-def test_kernel_falls_back_to_the_scalar_kernel_past_exact_floats():
-    _falls_back_past("_EXACT", 10)
-
-
-def test_kernel_falls_back_to_the_scalar_kernel_past_exact_sums():
-    _falls_back_past("_TERMS", 3)  # researchers of 3 or more cited papers
+@pytest.mark.parametrize("block_counts", [_columns._BLOCK_COUNTS, 1, 1 << 20], ids=["default", "one", "all"])
+def test_kernel_matches_the_library_beside_the_terms_bound(block_counts):
+    """Researchers of ``_TERMS`` - 1 and ``_TERMS`` cited papers, their counts near ``MAX_COUNT``: the first
+    sums in numpy, the second's block takes the scalar kernel, and a rootless request never does."""
+    big = [CitationRecord.from_counts(f"big{n}", [MAX_COUNT - i for i in range(n)] + [0])
+           for n in (_columns._TERMS - 1, _columns._TERMS)]
+    records = [CitationRecord.from_counts("a", [3, 1]), big[0], CitationRecord.from_counts("b", [2, 0]), big[1]]
+    columns = _columns.from_records(records)
+    with mock.patch.object(_columns, "_BLOCK_COUNTS", block_counts):
+        for roots in (True, False, "j"):
+            expected = [_kernel(r.counts, roots=bool(roots)) for r in records]
+            with mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
+                if roots == "j":
+                    assert _columns.kernel(columns, "j")[0].tolist() == [row[4] for row in expected]
+                else:
+                    assert _kernel_rows(columns, roots) == expected
+            assert scalar.called == bool(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +357,7 @@ def test_the_exact_sum_bounds_hold():
     assert 1 <= math.sqrt(1) and math.sqrt(MAX_COUNT) < 2**15  # every term, of j and of jS
     assert 2**15 * _columns._TERMS * _columns._SPLIT <= 2**53  # the high parts' sums
     assert _columns._TERMS / _columns._SPLIT * 2**52 <= 2**53  # the low parts' sums, in units of 2**-52
+    assert _columns._TERMS * MAX_COUNT < 2**48  # a running total below _TERMS counts: exact as a float
 
 
 # a term next to a float boundary, and runs of one term

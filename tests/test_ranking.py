@@ -233,6 +233,19 @@ def test_measures_stay_in_range_for_permutations(perm, data):
     assert -1e-12 <= m_measure(a, b) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("numpy_from", [10**9, 1], ids=["plain", "numpy"])
+@given(st.integers(min_value=2, max_value=12).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)] * 2)))
+def test_rho_and_footrule_stay_in_range_for_tied_rankings(numpy_from, values):
+    """Tied ranks are averages of permutations' ranks, and both distances are convex, so neither leaves the
+    permutations' range.  M is left out: the reciprocal of a tie's mean rank is not the mean of the reciprocals,
+    and M falls below 0 on ties."""
+    with mock.patch.object(ranking_module, "_NUMPY_FROM", numpy_from):
+        a, b = (rank_descending(column, index_name=name) for column, name in zip(values, "ab"))
+        assert -1.0 - 1e-12 <= spearman_rho(a, b) <= 1.0 + 1e-12
+        assert -1e-12 <= footrule(a, b) <= 1.0 + 1e-12
+
+
 @given(permutations, st.data())
 def test_spearman_agrees_with_pearson_on_untied_ranks(perm, data):
     other = data.draw(st.permutations(list(range(1, len(perm) + 1))))

@@ -1,6 +1,6 @@
 """Command-line surface: indices, compare, hcore, manipulate, reproduce.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data errors and failed writes to stdout.
+Exit codes: 0 on success, 1 on usage errors, 2 on data errors and failed writes to stdout; kept if stderr fails.
 """
 
 from __future__ import annotations
@@ -39,13 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}error: {message}")  # a subcommand's own usage
 
     def print_help(self, file=None):  # argparse's own drops an OSError of the write; this one raises it
-        (_stdout() if file is None else file).write(self.format_help())
+        _write(sys.stdout if file is None else file, [self.format_help()])
 
 
-def _stdout():  # None if descriptor 1 was closed at start-up; never reopened, as the next open takes its number
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))  # a failed write: status 2
-    return sys.stdout
+def _write(stream, texts):
+    """Write ``texts`` to ``stream`` and flush it: the CLI's one writer to stdout and stderr."""
+    if stream is None:  # its descriptor was closed at start-up; never reopened, as the next open takes its number
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.writelines(texts)
+        stream.flush()
+    except OSError:  # the descriptor goes to devnull: the interpreter's final flush of what is still held goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
 
 
 def build_parser() -> _Parser:
@@ -142,30 +150,21 @@ def _run(args):  # the command's report
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    parser = build_parser()
-    stdout = None
     try:
-        try:
-            args = parser.parse_args(list(argv))
-        except SystemExit:  # argparse --help has written the help, flushed below; usage errors raise UsageError
-            args = None
-        output = () if args is None else _lines(_run(args), args.format)
-        stdout = _stdout()
-        stdout.writelines("\n".join(lines) + "\n" for lines in output)  # emit_report's text and a newline
-        stdout.flush()
+        args = build_parser().parse_args(list(argv))
+        _write(sys.stdout, ("\n".join(lines) + "\n" for lines in _lines(_run(args), args.format)))
+        return 0
+    except SystemExit:  # argparse has written --help; usage errors raise UsageError
+        return 0
     except UsageError as err:
-        if sys.stderr is not None:  # None if descriptor 2 was closed at start-up: the status alone tells
-            sys.stderr.write(f"{err}\n")
-        return 1
-    except (ParseError, ValueError, OSError) as err:
-        if stdout is not None and isinstance(err, OSError):  # stdout refused the output: the interpreter's
-            devnull = os.open(os.devnull, os.O_WRONLY)  # final flush of what it still holds goes nowhere
-            os.dup2(devnull, stdout.fileno())
-            os.close(devnull)
-        if not isinstance(err, BrokenPipeError) and sys.stderr is not None:  # a reader that has gone is told nothing
-            sys.stderr.write(f"error: {err}\n")
-        return 2
-    return 0
+        status, message = 1, f"{err}\n"
+    except (ParseError, ValueError, OSError) as err:  # a reader that has gone is told nothing
+        status, message = 2, "" if isinstance(err, BrokenPipeError) else f"error: {err}\n"
+    try:
+        _write(sys.stderr, [message])
+    except OSError:  # a closed, full or unwritable stderr drops the message; the status stands
+        pass
+    return status
 
 
 def main() -> None:

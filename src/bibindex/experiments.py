@@ -247,7 +247,7 @@ def _partitions(cohort) -> CohortTable:
     names, table, _ = _table(cohort, ("T", "h"))
     total, h1 = table["T"], table["core"]
     if 0 in total:
-        raise ValueError("no citations: partition proportions are undefined")
+        raise ValueError(f"no citations for {names[total.index(0)]!r}: partition proportions are undefined")
     h2 = [h * h for h in table["h"]]
     split = [h1, h2, list(map(sub, h1, h2)), list(map(sub, total, h1))]
     columns = dict(zip("H1 H2 H3 H4 G1 G2 G3 G4".split(), split + [list(map(truediv, c, total)) for c in split]))

@@ -225,7 +225,7 @@ def h_core_partition(record: CitationRecord) -> HCorePartition:
     counts = record.counts
     total = sum(counts)
     if total == 0:
-        raise ValueError("no citations: partition proportions are undefined")
+        raise ValueError(f"no citations for {record.researcher_id!r}: partition proportions are undefined")
     h = h1 = 0
     for rank, c in enumerate(counts, start=1):  # descending: c >= rank holds on the h-core alone
         if c < rank:

@@ -235,6 +235,8 @@ def test_hcore_uncited_researcher_is_data_error(capsys, tmp_path):
     (COHORT + "dan,0\n", ["manipulate", "--index", "A", "--mode", "decrement"], "A is undefined for records with h = 0"),
     ("researcher,citations\nann,3\n", ["compare"], "association measures need at least two researchers"),
     ("researcher,citations\nann,3\nbob,2\n", ["compare"], "significance test needs n >= 3"),
+    ("researcher,citations\na,3\nb,0\nb,0\nc,0\nd,1\n", ["hcore"],
+     "no citations for 'b': partition proportions are undefined"),
 ])
 def test_cohort_errors_are_data_errors_on_both_paths(capsys, monkeypatch, tmp_path, threshold, text, argv, message):
     path = tmp_path / "cohort.csv"
@@ -505,15 +507,33 @@ def test_a_closed_stdout_ends_the_run_with_status_2_and_one_error_line(output_ru
     assert (done.returncode, done.stdout, done.stderr.decode()) == (2, b"", message)
 
 
+def _run_with_stderr(how, argv):
+    """A run whose descriptor 2 is closed before the interpreter starts (``2>&-``), on /dev/full, or open read-only."""
+    if how == "closed":
+        return _run_closed(2, argv)
+    with open("/dev/full", "wb") if how == "full" else open(os.devnull, "rb") as stderr:
+        return subprocess.run([sys.executable, "-m", "bibindex.cli", *argv], stdout=subprocess.PIPE, stderr=stderr,
+                              env=_child_env(), timeout=120)
+
+
+_NO_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+_BROKEN_STDERRS = ["closed", pytest.param("full", marks=_NO_FULL), "read-only"]
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="closes a descriptor in the child before exec")
+@pytest.mark.parametrize("stderr", _BROKEN_STDERRS)
 @pytest.mark.parametrize(("argv", "status"), [(["indices", "/nonexistent/cohort.csv"], 2), (["indices"], 1)])
-def test_a_closed_stderr_keeps_the_exit_status(argv, status):
-    done = _run_closed(2, argv)
-    assert (done.returncode, done.stdout, done.stderr) == (status, b"", b"")
+def test_a_closed_stderr_keeps_the_exit_status(argv, status, stderr):
+    done = _run_with_stderr(stderr, argv)
+    assert (done.returncode, done.stdout) == (status, b"")
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="closes a descriptor in the child before exec")
-def test_a_closed_stderr_leaves_a_run_and_its_output_as_they_are(output_runs):
-    done = _run_closed(2, output_runs["records"])
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == _run_into(subprocess.PIPE, output_runs["records"]).stdout != b""
+@pytest.mark.parametrize("stderr", _BROKEN_STDERRS)
+@pytest.mark.parametrize("run", ["records", "reproduce", "--help"])
+def test_a_closed_stderr_leaves_a_run_and_its_output_as_they_are(output_runs, run, stderr):
+    argv = output_runs.get(run) or [run]
+    done = _run_with_stderr(stderr, argv)
+    assert done.returncode == 0
+    assert done.stdout == _run_into(subprocess.PIPE, argv).stdout != b""
+    assert run != "--help" or done.stdout.startswith(b"usage: bibindex")

@@ -294,7 +294,7 @@ def test_kernel_edge_records():
     columns = _columns.from_records(records)
     rows = _kernel_rows(columns)
     assert rows == [_kernel(r.counts) for r in records] and rows[2][3] == 10
-    with pytest.raises(ValueError, match="^no citations: partition proportions are undefined$"):
+    with pytest.raises(ValueError, match="^no citations for 'empty': partition proportions are undefined$"):
         experiments._partitions(columns)
 
 

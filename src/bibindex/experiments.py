@@ -297,7 +297,7 @@ def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable
     if dataset.discipline != discipline:
         raise ValueError(f"{table_id} expects the {discipline} cohort, got {dataset.discipline!r}")
 
-    h, t = dataset.column("h"), dataset.column("T")
+    h, t, names = dataset.column("h"), dataset.column("T"), dataset.names  # one roster for every ranking
     reports = association_grid(row_indices, col_indices, lambda name: rank_untied(
-        dataset.column(name), h, t, index_name=name, ids=dataset.names))
+        dataset.column(name), h, t, index_name=name, ids=names))
     return AssociationTable(table_id, caption, row_indices, col_indices, tuple(reports))

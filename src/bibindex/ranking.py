@@ -1,8 +1,8 @@
 """Cohort rankings (rank 1 = best) and the three rank-association measures.
 
-Both tie policies live here: ``rank_descending`` gives tied values the mean
-of the positions they span, and ``rank_untied`` orders them by h, then T,
-then position (the reference tables' policy).  The association measures
+Each tie policy is a sort key ranked by one average-rank routine: (-value)
+for ``rank_descending`` and (-value, -h, -T, position), which never ties,
+for ``rank_untied`` (the reference tables' policy).  The association measures
 are the Spearman rank correlation, the normalised Spearman footrule, and
 the top-weighted M-measure on reciprocal ranks.
 """
@@ -45,10 +45,10 @@ class Significance(enum.Enum):
 class Ranking:
     """Positions of a roster of researchers under one index (1 = best).
 
-    Every ranking is a valid fractional ranking.  Two tie policies produce
-    them: ``rank_descending`` gives tied values the mean of the positions
-    they span, and ``rank_untied`` orders tied values by h, then T, into
-    untied ranks 1..n (the policy of the reference tables).
+    Every ranking is a valid fractional ranking: the average ranks of a sort
+    key.  ``rank_descending`` ranks (-value), so tied values take the mean of
+    the positions they span; ``rank_untied`` ranks (-value, -h, -T, position),
+    whose keys never tie (the policy of the reference tables).
     """
 
     index_name: str
@@ -182,18 +182,18 @@ def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float],
     The bundled tables' coefficients were computed under this policy;
     fractional ranks drift up to 0.015 from them on tied columns.
     """
-    if not len(values) == len(h) == len(t):
+    negated = _negated(values)
+    try:
+        minus_h, minus_t = ([-float(v) for v in column] for column in (h, t))
+    except TypeError:  # a scalar, nested sequences or None
+        raise ValueError("h and t must be one-dimensional sequences of numbers") from None
+    if not len(negated) == len(minus_h) == len(minus_t):
         raise ValueError("values, h and t must have the same shape")
-    negated = _negated(values)  # a stable sort on (-value, -h, -T)
-    minus_h, minus_t = ([-float(v) for v in column] for column in (h, t))
     for name, column in (("h", minus_h), ("t", minus_t)):
         if any(map(math.isnan, column)):
             raise ValueError(f"{name} contains NaN")
-    order = sorted(range(len(negated)), key=lambda i: (negated[i], minus_h[i], minus_t[i]))
-    ranks = [0.0] * len(order)
-    for position, i in enumerate(order, start=1):
-        ranks[i] = float(position)
-    return _ranking(index_name, ids, ranks)
+    keys = list(zip(negated, minus_h, minus_t, range(len(negated))))  # distinct, so ranked 1..n untied
+    return _ranking(index_name, ids, _py_average_ranks(keys))
 
 
 def _paired_ranks(r1: Ranking, r2: Ranking):

@@ -455,6 +455,25 @@ def test_both_paths_rank_and_measure_alike(columns):
     assert plain[3] == pytest.approx(arrays[3], rel=0, abs=1e-12)
 
 
+def untied_reference(values, h, t):
+    """Untied ranks numbered in a loop: positions sorted by (-value, -h, -T), then by position."""
+    order = sorted(range(len(values)), key=lambda i: (-values[i], -h[i], -t[i]))
+    ranks = [0.0] * len(order)
+    for position, i in enumerate(order, start=1):
+        ranks[i] = float(position)
+    return tuple(ranks)
+
+
+# the tied columns with each 0.0 drawn as 0.0 or -0.0, which compare equal
+signed_zero_tied_values = tied_values.flatmap(lambda columns: st.tuples(*[
+    st.tuples(*[st.sampled_from([0.0, -0.0]) if v == 0 else st.just(v) for v in column]) for column in columns]))
+
+
+@given(signed_zero_tied_values)
+def test_rank_untied_equals_the_sort_and_number_reference(columns):
+    assert _on_both_paths(lambda: rank_untied(*columns).ranks) == [untied_reference(*columns)] * 2
+
+
 def test_rankings_with_equal_but_distinct_roster_tuples_measure_on_both_paths():
     names = ("w", "x", "y", "z")
     equal = tuple(list(names))
@@ -530,6 +549,8 @@ def test_both_paths_reject_non_finite_and_unfixed_ranks(ranks):
     (lambda: rank_descending([]), "values must be a non-empty one-dimensional sequence"),
     (lambda: rank_descending([[1, 2], [3, 4]]), "values must be a non-empty one-dimensional sequence"),
     (lambda: rank_descending(5.0), "values must be a non-empty one-dimensional sequence"),
+    (lambda: rank_untied(5.0, [1], [1]), "values must be a non-empty one-dimensional sequence"),
+    (lambda: rank_untied([1, 2], [None, 1], [1, 1]), "h and t must be one-dimensional sequences of numbers"),
     (lambda: rank_untied([1, math.nan], [1, 1], [1, 1]), "values contain NaN"),
     (lambda: rank_untied([1.0, 1.0, 2.0], [math.nan, 1.0, 1.0], [1, 1, 1]), "h contains NaN"),
     (lambda: rank_untied([1.0, 1.0, 2.0], [1, 1, 1], [1.0, 1.0, math.nan]), "t contains NaN"),

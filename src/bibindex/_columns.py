@@ -9,7 +9,7 @@ high = floor(t * 2**20) / 2**20 and low = t - high, both exact.  Highs are multi
 them is a multiple of 2**-20 below 2**33: 53 bits, exact.  Lows are multiples of 2**-52
 (as t >= 1) below 2**-20, so their partial sums, below 2**-2, are exact too.  One float add
 of the two sums is then the correctly rounded sum of the terms: what math.fsum returns.
-A block with more terms takes the scalar kernel for roots.  With fewer, cum / rank reads cum < 2**48 exactly."""
+A block with more terms takes the scalar kernel.  With fewer, cum / rank reads cum < 2**48 exactly."""
 
 from __future__ import annotations
 
@@ -188,30 +188,30 @@ def manipulated(columns: Columns, mode: ManipulationMode) -> Columns:
     return Columns(columns.names, counts, offsets, totals)
 
 
-def kernel(columns: Columns, roots: bool | str = True) -> list[np.ndarray]:
-    """``metrics._kernel`` of every researcher as arrays T, h, core, g, j, jS (j, jS zeros without ``roots``;
-    with ``roots="j"``, j alone), in blocks of about ``_BLOCK_COUNTS`` counts.  h and g are prefix lengths:
+def kernel(columns: Columns, alone: bool = False) -> list[np.ndarray]:
+    """``metrics._kernel`` of every researcher as arrays T, h, core, g, j, jS (the j array ``alone`` if asked),
+    in blocks of about ``_BLOCK_COUNTS`` counts.  h and g are prefix lengths:
     ``c >= rank`` and ``running total >= rank**2`` each hold on a prefix of descending counts."""
     bounds, lo, n, blocks = columns.offsets, 0, len(columns.names), []
     while lo < n:
         hi = min(n, max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _BLOCK_COUNTS, "right")) - 1))
         counts, offsets = columns.counts[bounds[lo]:bounds[hi]], bounds[lo:hi + 1] - bounds[lo]
-        blocks.append(_block(counts, offsets, roots))
+        blocks.append(_block(counts, offsets, alone))
         lo = hi
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool | str) -> list[np.ndarray]:
-    """The columns of ``kernel`` for one block.  Zeros sort last, so each researcher's cited
-    counts are a prefix: every index is computed on ``c``, the cited counts alone."""
+def _block(counts: np.ndarray, offsets: np.ndarray, alone: bool) -> list[np.ndarray]:
+    """The columns of ``kernel`` for one block, or its j column ``alone``.  Zeros sort last, so each
+    researcher's cited counts are a prefix: every index is computed on ``c``, the cited counts alone."""
     cited = counts > 0
     c, n = counts[cited], _per(cited, offsets)  # researcher i's cited counts are c[starts[i]:starts[i + 1]]
-    if roots and n.max() >= _TERMS:  # the split sums could round (module docstring)
-        rows = [_kernel(counts[a:b].tolist(), roots=True) for a, b in zip(offsets[:-1], offsets[1:])]
+    if n.max() >= _TERMS:  # the split sums could round (module docstring)
+        rows = [_kernel(counts[a:b].tolist()) for a, b in zip(offsets[:-1], offsets[1:])]
         columns = [np.array(column, dtype) for column, dtype in zip(zip(*rows), [np.int64] * 4 + [float] * 2)]
-        return columns[4:5] if roots == "j" else columns
+        return columns[4:5] if alone else columns
     starts = np.concatenate(([0], np.cumsum(n)))
-    if roots == "j":
+    if alone:
         return [_sums(np.sqrt(c), starts)]
     run = np.concatenate(([0], np.cumsum(c)))
     first = np.repeat(starts[:-1], n)
@@ -223,8 +223,6 @@ def _block(counts: np.ndarray, offsets: np.ndarray, roots: bool | str) -> list[n
     g = _per(cum >= rank * rank, starts)
     wide = np.flatnonzero(total >= n * n)  # unbounded g: uncited papers pad the list
     g[wide] = [math.isqrt(t) for t in total[wide].tolist()]
-    if not roots:
-        return [total, h, core, g, np.zeros(n.size), np.zeros(n.size)]
     return [total, h, core, g, _sums(np.sqrt(c), starts), _sums(np.sqrt(cum / rank), starts)]
 
 

@@ -69,16 +69,15 @@ def build_parser() -> _Parser:
                            help="input rows are 'name,c1,c2,...' instead of long format")
         p.add_argument("--format", choices=FORMATS, default="plain")
 
-    p = sub.add_parser("indices", help="index profile per researcher")
-    add_common(p)
+    add_common(sub.add_parser("indices", help="index profile per researcher"))
 
     p = sub.add_parser("compare", help="association matrix between index rankings")
     add_common(p)
     p.add_argument("--left", type=_index_list, default="T,h,g", help="comma-separated index names")
     p.add_argument("--right", type=_index_list, default="j,jS", help="comma-separated index names")
+    p.set_defaults(error=p.error)  # _run checks the two lists together
 
-    p = sub.add_parser("hcore", help="h-core partitions plus cohort aggregate")
-    add_common(p)
+    add_common(sub.add_parser("hcore", help="h-core partitions plus cohort aggregate"))
 
     p = sub.add_parser("manipulate", help="rank stability under record manipulation")
     add_common(p)
@@ -115,6 +114,8 @@ def _index_list(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names or not set(names) <= set(INDEX_NAMES):
         raise argparse.ArgumentTypeError(f"expected index names from {', '.join(INDEX_NAMES)}, got {text!r}")
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"{text!r} names an index more than once")
     return names
 
 
@@ -131,6 +132,8 @@ def _cohort(args):
 def _run(args):  # the command's report
     if args.command == "reproduce":
         return reproduce_table(args.table)
+    if args.command == "compare" and len({*args.left, *args.right}) == 1:  # each pair would be an index and itself
+        args.error(f"--left and --right name {args.left[0]} alone: an index is not compared with itself")
 
     cohort = _cohort(args)
     if args.command == "indices":

@@ -204,21 +204,21 @@ def _manipulation_report(cohort, mode: ManipulationMode, index_name: str) -> Man
 def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None) -> CohortTable:
     """``metrics._kernel`` of each researcher of a list of records or ``_columns.Columns``, after ``mode`` if
     given, as columns T, h, core (the h-core's citations), g, A (None where h = 0), R, j and jS, for the caller
-    to read ``indices``.  Roots are taken only for j or jS, else both read 0.0; ("j",) takes the j column alone."""
+    to read ``indices``: every column, or the j column alone for ("j",)."""
     for name in indices:
         _field(name)  # raises for an unknown name
-    roots = "j" if tuple(indices) == ("j",) else not {"j", "jS"}.isdisjoint(indices)
+    alone = tuple(indices) == ("j",)
     if isinstance(cohort, list):
         names = tuple(record.researcher_id for record in cohort)
         records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
-        rows = [_kernel(record.counts, roots=bool(roots)) for record in records]
-        columns = [[row[4] for row in rows]] if roots == "j" else [list(column) for column in zip(*rows)]
+        rows = [_kernel(record.counts) for record in records]
+        columns = [[row[4] for row in rows]] if alone else [list(column) for column in zip(*rows)]
     else:
         from . import _columns
         names = cohort.names
         cohort = cohort if mode is None else _columns.manipulated(cohort, mode)
-        columns = [column.tolist() for column in _columns.kernel(cohort, roots)]
-    if roots == "j":
+        columns = [column.tolist() for column in _columns.kernel(cohort, alone)]
+    if alone:
         return CohortTable(names, {"j": columns[0]})
     table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns or [[]] * 6))
     table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]

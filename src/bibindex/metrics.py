@@ -182,11 +182,10 @@ def _builder(cls):
 _record, _profile, _partition = map(_builder, (CitationRecord, IndexProfile, HCorePartition))
 
 
-def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int, int, float, float]:
+def _kernel(counts: Sequence[int]) -> tuple[int, int, int, int, float, float]:
     """T, h, the h-core's citations, g, j and jS, in one pass over the cited prefix of descending counts.
 
-    Zeros sort last, so the pass stops at the first one, and the running mean at a cited rank is its
-    smoothed count.  With ``roots=False`` the square roots are skipped and j and jS read 0.0.
+    Zeros sort last, so the pass stops at the first one, and the running mean at a cited rank is its smoothed count.
     """
     sqrt = math.sqrt
     total = h = core = g = rank = 0
@@ -200,9 +199,8 @@ def _kernel(counts: Sequence[int], *, roots: bool = True) -> tuple[int, int, int
             h, core = rank, total
         if total >= rank * rank:
             g = rank
-        if roots:
-            root_terms.append(sqrt(c))
-            smoothed_terms.append(sqrt(total / rank))
+        root_terms.append(sqrt(c))
+        smoothed_terms.append(sqrt(total / rank))
     if g == rank:  # T >= g**2 holds on a prefix of ranks; it held at the last cited one, so zeros pad g to isqrt(T)
         g = math.isqrt(total)
     return total, h, core, g, math.fsum(root_terms), math.fsum(smoothed_terms)

@@ -125,6 +125,24 @@ def test_compare_index_typo_is_usage_error(capsys, cohort_file):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", reports.FORMATS)
+@pytest.mark.parametrize("left,right,message", [
+    ("T,T", "j", "argument --left: 'T,T' names an index more than once"),
+    ("T", "j, h,j", "argument --right: 'j, h,j' names an index more than once"),
+    ("j", "j", "--left and --right name j alone: an index is not compared with itself"),
+], ids=["left-twice", "right-twice", "no-pair"])
+def test_compare_lists_it_cannot_pair_are_usage_errors(capsys, cohort_file, left, right, message, fmt):
+    """A name twice in one list would print its rows or columns twice; one shared name leaves no pair to print."""
+    status, out, err = run(capsys, "compare", cohort_file, "--left", left, "--right", right, "--format", fmt)
+    assert (status, out) == (1, "")
+    assert err.startswith("usage: bibindex compare ") and err.endswith(f"\nerror: {message}\n")
+
+
+def test_compare_pairs_an_index_shared_by_both_lists_with_the_others(capsys, cohort_file):
+    status, out, _ = run(capsys, "compare", cohort_file, "--left", "T,h", "--right", "T", "--format", "csv")
+    assert status == 0 and [line.split(",")[:2] for line in out.splitlines()[1:]] == [["h", "T"]]
+
+
 def test_manipulate_unknown_index_is_usage_error(capsys, cohort_file):
     status, out, err = run(capsys, "manipulate", cohort_file, "--mode", "decrement", "--index", "zap")
     assert status == 1

@@ -210,20 +210,20 @@ def _outcome(compute):
         return str(err)
 
 
-def _kernel_rows(columns, roots=True):
+def _kernel_rows(columns):
     """``_columns.kernel`` as one (T, h, core, g, j, jS) tuple per researcher."""
-    return list(zip(*(column.tolist() for column in _columns.kernel(columns, roots))))
+    return list(zip(*(column.tolist() for column in _columns.kernel(columns))))
 
 
 @settings(max_examples=300)
-@given(_cohorts, st.booleans(), st.data())
-def test_kernel_matches_the_library_bit_for_bit(drawn, roots, data):
+@given(_cohorts, st.data())
+def test_kernel_matches_the_library_bit_for_bit(drawn, data):
     records = _cohort(drawn)
     columns = _columns.from_records(records)
     assert _records(columns) == _as_tuples(records)
     with _small_blocks(data):
-        assert _kernel_rows(columns, roots) == [_kernel(r.counts, roots=roots) for r in records]
-    assert _columns.kernel(columns, "j")[0].tolist() == [_kernel(r.counts)[4] for r in records]
+        assert _kernel_rows(columns) == [_kernel(r.counts) for r in records]
+    assert _columns.kernel(columns, alone=True)[0].tolist() == [_kernel(r.counts)[4] for r in records]
 
 
 @settings(max_examples=200)
@@ -233,14 +233,12 @@ def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columna
     cohort = _columns.from_records(records) if columnar else records
     with _small_blocks(data):
         names, table, aggregate = experiments._table(cohort, INDEX_NAMES)
-        rootless = experiments._table(cohort, ("T", "h", "g"))
         j = experiments._table(cohort, ("j",))
         split = _outcome(lambda: experiments._partitions(cohort))
     profiles = [index_profile(r) for r in records]
     assert names == tuple(r.researcher_id for r in records) and aggregate is None
     assert table["A"] == [None if p.a is None else float(p.a) for p in profiles]
     assert all(table[name] == [getattr(p, INDEX_FIELDS[name]) for p in profiles] for name in INDEX_NAMES if name != "A")
-    assert rootless == (names, {**table, "j": [0.0] * len(records), "jS": [0.0] * len(records)}, None)
     assert j == (names, {"j": table["j"]}, None)  # both paths take the j sums alone
 
     def library():
@@ -248,6 +246,21 @@ def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columna
         return (names, {key: [getattr(p, key.lower()) for p in parts] for key in "H1 H2 H3 H4 G1 G2 G3 G4".split()},
                 discipline_aggregate(parts))
     assert split == _outcome(library)
+
+
+@pytest.mark.parametrize("indices", [("T", "h"), ("T", "h", "g"), ("A",), ("jS",), ("j",)], ids=",".join)
+@pytest.mark.parametrize("columnar", [False, True], ids=["records", "columns"])
+@settings(max_examples=100)
+@given(_cohorts, st.data())
+def test_every_request_reads_the_columns_of_the_whole_table(indices, columnar, drawn, data):
+    """Whatever the indices asked for, each column ``_table`` returns is that column of the table of every index."""
+    records = _cohort(drawn)
+    cohort = _columns.from_records(records) if columnar else records
+    with _small_blocks(data):
+        whole = experiments._table(cohort, INDEX_NAMES)
+        names, table, aggregate = experiments._table(cohort, indices)
+    assert names == whole.names and aggregate is None and set(indices) <= set(table)
+    assert all(table[name] == whole.columns[name] for name in table)
 
 
 @settings(max_examples=200)
@@ -304,21 +317,21 @@ _EDGE_COHORTS = {
 }
 
 
-@pytest.mark.parametrize("roots", [True, False, "j"])
+@pytest.mark.parametrize("alone", [False, True], ids=["all", "j"])
 @pytest.mark.parametrize("drawn", list(_EDGE_COHORTS.values()), ids=list(_EDGE_COHORTS))
 @settings(max_examples=30)
 @given(data=st.data())
-def test_kernel_reads_uncited_rows_like_the_library(drawn, roots, data):
+def test_kernel_reads_uncited_rows_like_the_library(drawn, alone, data):
     """Zeros sort last, so the kernel keeps only each researcher's cited prefix; uncited papers still pad g."""
     records = [CitationRecord.from_counts(f"r{i}", counts) for i, counts in enumerate(drawn)]
-    expected = [_kernel(r.counts, roots=bool(roots)) for r in records]
+    expected = [_kernel(r.counts) for r in records]
     columns = _columns.from_records(records)
     for blocks in (contextlib.nullcontext(), _small_blocks(data)):
         with blocks:
-            if roots == "j":
-                assert _columns.kernel(columns, "j")[0].tolist() == [row[4] for row in expected]
+            if alone:
+                assert _columns.kernel(columns, alone=True)[0].tolist() == [row[4] for row in expected]
             else:
-                assert _kernel_rows(columns, roots) == expected
+                assert _kernel_rows(columns) == expected
 
 
 def test_kernel_falls_back_to_the_scalar_kernel_past_exact_sums():
@@ -327,27 +340,36 @@ def test_kernel_falls_back_to_the_scalar_kernel_past_exact_sums():
     columns = _columns.from_records(records)
     with mock.patch.object(_columns, "_TERMS", 3), mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
         assert _kernel_rows(columns) == [_kernel(r.counts) for r in records]
-        assert _columns.kernel(columns, "j")[0].tolist() == [_kernel(r.counts)[4] for r in records]
+        assert _columns.kernel(columns, alone=True)[0].tolist() == [_kernel(r.counts)[4] for r in records]
+    assert scalar.called
+
+
+def test_partitions_fall_back_to_the_scalar_kernel_past_exact_sums():
+    """hcore's request takes ``metrics._kernel`` past ``_TERMS`` cited papers too, and reads what the records do."""
+    records = [CitationRecord.from_counts(f"r{i}", [i + 3, 2, 1, 0][:i + 1]) for i in range(5)]
+    expected = experiments._partitions(records)
+    with mock.patch.object(_columns, "_TERMS", 3), mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
+        assert experiments._partitions(_columns.from_records(records)) == expected
     assert scalar.called
 
 
 @pytest.mark.parametrize("block_counts", [_columns._BLOCK_COUNTS, 1, 1 << 20], ids=["default", "one", "all"])
 def test_kernel_matches_the_library_beside_the_terms_bound(block_counts):
     """Researchers of ``_TERMS`` - 1 and ``_TERMS`` cited papers, their counts near ``MAX_COUNT``: the first
-    sums in numpy, the second's block takes the scalar kernel, and a rootless request never does."""
+    sums in numpy, and the second's block takes the scalar kernel, for every column and for j alone."""
     big = [CitationRecord.from_counts(f"big{n}", [MAX_COUNT - i for i in range(n)] + [0])
            for n in (_columns._TERMS - 1, _columns._TERMS)]
     records = [CitationRecord.from_counts("a", [3, 1]), big[0], CitationRecord.from_counts("b", [2, 0]), big[1]]
     columns = _columns.from_records(records)
     with mock.patch.object(_columns, "_BLOCK_COUNTS", block_counts):
-        for roots in (True, False, "j"):
-            expected = [_kernel(r.counts, roots=bool(roots)) for r in records]
+        expected = [_kernel(r.counts) for r in records]
+        for alone in (False, True):
             with mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
-                if roots == "j":
-                    assert _columns.kernel(columns, "j")[0].tolist() == [row[4] for row in expected]
+                if alone:
+                    assert _columns.kernel(columns, alone=True)[0].tolist() == [row[4] for row in expected]
                 else:
-                    assert _kernel_rows(columns, roots) == expected
-            assert scalar.called == bool(roots)
+                    assert _kernel_rows(columns) == expected
+            assert scalar.called
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def brute_g(counts):
     return best
 
 
-def reference_kernel(counts, *, roots=True):
+def reference_kernel(counts):
     """``_kernel`` as one pass over every count, zeros included, with g padded when isqrt(T) >= len(counts)."""
     total = h = core = g = 0
     root_terms, smoothed_terms = [], []
@@ -75,7 +75,7 @@ def reference_kernel(counts, *, roots=True):
             h, core = rank, total
         if total >= rank * rank:
             g = rank
-        if roots and c:
+        if c:
             root_terms.append(math.sqrt(c))
             smoothed_terms.append(math.sqrt(total / rank))
     if math.isqrt(total) >= len(counts):
@@ -317,18 +317,16 @@ zero_heavy_lists = st.lists(st.integers(min_value=0, max_value=3) | st.integers(
                             max_size=60)
 
 
-@pytest.mark.parametrize("roots", [True, False])
 @given(zero_heavy_lists, st.integers(min_value=0, max_value=200))
-def test_kernel_of_the_cited_prefix_equals_the_pass_over_every_count(roots, counts, zeros):
+def test_kernel_of_the_cited_prefix_equals_the_pass_over_every_count(counts, zeros):
     ordered = (*sorted(counts, reverse=True), *[0] * zeros)  # long zero tails pad g past the stored list
-    assert _kernel(ordered, roots=roots) == reference_kernel(ordered, roots=roots)
+    assert _kernel(ordered) == reference_kernel(ordered)
 
 
 @pytest.mark.parametrize("counts", [(), (0,), (0, 0, 0), (1,), (100, 0, 0), (4, 4, 4, 4, 0), (10**9,) * 3,
                                     (MAX_COUNT, 1, 0, 0)])
-@pytest.mark.parametrize("roots", [True, False])
-def test_kernel_edge_cases_equal_the_pass_over_every_count(counts, roots):
-    assert _kernel(counts, roots=roots) == reference_kernel(counts, roots=roots)
+def test_kernel_edge_cases_equal_the_pass_over_every_count(counts):
+    assert _kernel(counts) == reference_kernel(counts)
 
 
 def _assert_partition_reads_the_kernel(counts):

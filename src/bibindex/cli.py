@@ -135,20 +135,15 @@ def _run(args):  # the command's report
     if args.command == "compare" and len({*args.left, *args.right}) == 1:  # each pair would be an index and itself
         args.error(f"--left and --right name {args.left[0]} alone: an index is not compared with itself")
 
-    cohort = _cohort(args)
-    if args.command == "indices":
-        return _table(cohort, INDEX_NAMES)
+    if args.command == "manipulate":
+        return _manipulation_report(_cohort(args), _MODES[args.mode], args.index)
 
-    if args.command == "compare":
-        names, table, _ = _table(cohort, args.left + args.right)  # one roster for every ranking
-        reports = association_grid(args.left, args.right, lambda name: _ranked(table[name], name, names))
-        caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
-        return AssociationTable("compare", caption, args.left, args.right, tuple(reports))
-
-    if args.command == "hcore":
-        return _partitions(cohort)
-
-    return _manipulation_report(cohort, _MODES[args.mode], args.index)
+    table = _table(_cohort(args))  # indices shows the whole table, hcore splits it, compare ranks it on its one roster
+    if args.command != "compare":
+        return table if args.command == "indices" else _partitions(table)
+    reports = association_grid(args.left, args.right, lambda name: _ranked(table.columns[name], name, table.names))
+    caption = f"Rank associations: {', '.join(args.left)} versus {', '.join(args.right)}"
+    return AssociationTable("compare", caption, args.left, args.right, tuple(reports))
 
 
 def cli_dispatch(argv) -> int:

@@ -105,8 +105,8 @@ class AggregateTable:
 
 
 class CohortTable(NamedTuple):
-    """A cohort as columns in roster order: a sequence per key of ``_table`` (A None where h = 0), or with an
-    ``aggregate``, per key of the h-core split H1..G4.  ``reports`` shows it as a profile or partition report."""
+    """A cohort as columns in roster order: a sequence per key of ``_table`` (A None where h = 0) or j's alone, or
+    with an ``aggregate``, per key of the h-core split H1..G4.  ``reports`` shows a whole table or a split."""
 
     names: Sequence[str]
     columns: dict[str, Sequence]
@@ -180,7 +180,8 @@ def rank_change_report(cohort_before: Sequence[CitationRecord],
     ids_before = tuple(r.researcher_id for r in cohort_before)
     if ids_before != tuple(r.researcher_id for r in cohort_after):
         raise ValueError("rosters differ between the two cohorts")
-    before, after = (_ranked(_table(cohort, (index_name,)).columns[index_name], index_name, ids_before)
+    _field(index_name)  # raises for an unknown name before any table is built
+    before, after = (_ranked(_table(cohort, alone=index_name == "j").columns[index_name], index_name, ids_before)
                      for cohort in (cohort_before, cohort_after))
     return _diff_rankings(before, after, index_name)
 
@@ -194,20 +195,18 @@ def manipulation_report(cohort: Sequence[CitationRecord],
 
 def _manipulation_report(cohort, mode: ManipulationMode, index_name: str) -> ManipulationReport:
     """Rank a ``_table`` cohort's index values before and after a transform, and diff the rankings."""
-    tables = [_table(cohort, (index_name,), m) for m in (None, mode)]
+    _field(index_name)  # raises for an unknown name before any table is built
+    tables = [_table(cohort, m, index_name == "j") for m in (None, mode)]
     before, after = (_ranked(table.columns[index_name], index_name, table.names) for table in tables)
     before_values, after_values = (tuple(map(float, table.columns[index_name])) for table in tables)
     return ManipulationReport(index_name, mode, before.ids, before_values, after_values, before.ranks, after.ranks,
                               _diff_rankings(before, after, index_name))
 
 
-def _table(cohort, indices: Sequence[str], mode: ManipulationMode | None = None) -> CohortTable:
+def _table(cohort, mode: ManipulationMode | None = None, alone: bool = False) -> CohortTable:
     """``metrics._kernel`` of each researcher of a list of records or ``_columns.Columns``, after ``mode`` if
-    given, as columns T, h, core (the h-core's citations), g, A (None where h = 0), R, j and jS, for the caller
-    to read ``indices``: every column, or the j column alone for ("j",)."""
-    for name in indices:
-        _field(name)  # raises for an unknown name
-    alone = tuple(indices) == ("j",)
+    given, as columns T, h, core (the h-core's citations), g, A (None where h = 0), R, j and jS; or, ``alone``,
+    the j column alone, which spares the other sums."""
     if isinstance(cohort, list):
         names = tuple(record.researcher_id for record in cohort)
         records = cohort if mode is None else [apply_manipulation(record, mode) for record in cohort]
@@ -242,13 +241,12 @@ def discipline_aggregate(cohort: Iterable[CitationRecord | HCorePartition],
     return _aggregate(discipline, len(parts), [sum(map(attrgetter(f), parts)) for f in ("h1", "h2", "h3", "h4")])
 
 
-def _partitions(cohort) -> CohortTable:
-    """``h_core_partition`` of each researcher of a ``_table`` cohort as columns H1..G4, with the aggregate."""
-    names, table, _ = _table(cohort, ("T", "h"))
-    total, h1 = table["T"], table["core"]
+def _partitions(table: CohortTable) -> CohortTable:
+    """``h_core_partition`` of each researcher of a whole ``_table`` as columns H1..G4, with the aggregate."""
+    names, total, h1 = table.names, table.columns["T"], table.columns["core"]
     if 0 in total:
         raise ValueError(f"no citations for {names[total.index(0)]!r}: partition proportions are undefined")
-    h2 = [h * h for h in table["h"]]
+    h2 = [h * h for h in table.columns["h"]]
     split = [h1, h2, list(map(sub, h1, h2)), list(map(sub, total, h1))]
     columns = dict(zip("H1 H2 H3 H4 G1 G2 G3 G4".split(), split + [list(map(truediv, c, total)) for c in split]))
     return CohortTable(names, columns, _aggregate("cohort", len(total), list(map(sum, split))))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -124,17 +125,20 @@ def _py_average_ranks(values: Sequence[float]) -> list[float]:
 def _negated(values):
     """``-values`` as floats after validation: a list below ``_NUMPY_FROM`` entries, else an array."""
     try:
+        if isinstance(values, (str, bytes, Set, Mapping)):  # iterable, but not a sequence of numbers
+            raise TypeError
         small = len(values) < _NUMPY_FROM
         if small:
             negated = [-float(v) for v in values]
         else:
             import numpy as np
             negated = -np.asarray(values, dtype=float)
-    except TypeError:  # a scalar, or nested sequences
-        small, negated = True, []
-    if len(negated) == 0 or not small and negated.ndim != 1:
-        raise ValueError("values must be a non-empty one-dimensional sequence")
-    if any(map(math.isnan, negated)) if small else np.isnan(negated).any():
+        nan = any(map(math.isnan, negated)) if small else np.isnan(negated).any()
+        if len(negated) == 0 or not small and (negated.ndim != 1 or nan and None in values):  # numpy reads None as NaN
+            raise TypeError
+    except (TypeError, ValueError):  # a scalar, a nested or ragged sequence, or a cell that is not a number
+        raise ValueError("values must be a non-empty one-dimensional sequence of numbers") from None
+    if nan:
         raise ValueError("values contain NaN")
     return negated
 

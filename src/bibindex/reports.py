@@ -114,11 +114,13 @@ class _View(NamedTuple):
 def _text(view: _View, fmt: str) -> Iterator[list[str]]:
     """The view's plain or csv lines, a block of rows at a time, each cell its kind's text.  The header is every key
     shown, blank in a part that lacks it.  Plain pads each column to its widest cell, found by a first pass whose
-    texts it keeps for the second; csv quotes."""
+    texts it keeps for the second.  csv quotes str cells alone: no other kind's text holds a comma, quote or line break."""
     parts = [part for part in view.parts if fmt in part.formats]
     header = tuple(dict.fromkeys(key for part in parts for key, _ in part.columns))
     plain, sep = fmt == "plain", "  " if fmt == "plain" else ","
-    blocks = ({key: list(map(_CELLS[kind][0], column)) for (key, kind), column in zip(part.columns, block)}
+    text = {kind: cell for kind, (cell, _) in _CELLS.items()}
+    text["str"] = str if plain else lambda value: csv_field(str(value))
+    blocks = ({key: list(map(text[kind], column)) for (key, kind), column in zip(part.columns, block)}
               for part in parts for block in part.blocks())
     widths = {key: len(key) if plain else 0 for key in header}
     if plain:
@@ -130,8 +132,7 @@ def _text(view: _View, fmt: str) -> Iterator[list[str]]:
     yield [head.rstrip()] if view.caption is None or not plain else [view.caption, head.rstrip()]
     for texts in blocks:
         template = sep.join(f"%-{widths[key]}s" if key in texts else " " * widths[key] for key in header)
-        lines = map(template.__mod__, zip(*[texts[key] if plain else map(csv_field, texts[key])
-                                            for key in header if key in texts]))
+        lines = map(template.__mod__, zip(*[texts[key] for key in header if key in texts]))
         yield [line.rstrip() for line in lines] if plain else list(lines)
 
 

@@ -232,9 +232,9 @@ def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columna
     records = _cohort(drawn)
     cohort = _columns.from_records(records) if columnar else records
     with _small_blocks(data):
-        names, table, aggregate = experiments._table(cohort, INDEX_NAMES)
-        j = experiments._table(cohort, ("j",))
-        split = _outcome(lambda: experiments._partitions(cohort))
+        names, table, aggregate = experiments._table(cohort)
+        j = experiments._table(cohort, alone=True)
+        split = _outcome(lambda: experiments._partitions(experiments._table(cohort)))
     profiles = [index_profile(r) for r in records]
     assert names == tuple(r.researcher_id for r in records) and aggregate is None
     assert table["A"] == [None if p.a is None else float(p.a) for p in profiles]
@@ -246,21 +246,6 @@ def test_both_cli_tables_match_index_profile_and_h_core_partition(drawn, columna
         return (names, {key: [getattr(p, key.lower()) for p in parts] for key in "H1 H2 H3 H4 G1 G2 G3 G4".split()},
                 discipline_aggregate(parts))
     assert split == _outcome(library)
-
-
-@pytest.mark.parametrize("indices", [("T", "h"), ("T", "h", "g"), ("A",), ("jS",), ("j",)], ids=",".join)
-@pytest.mark.parametrize("columnar", [False, True], ids=["records", "columns"])
-@settings(max_examples=100)
-@given(_cohorts, st.data())
-def test_every_request_reads_the_columns_of_the_whole_table(indices, columnar, drawn, data):
-    """Whatever the indices asked for, each column ``_table`` returns is that column of the table of every index."""
-    records = _cohort(drawn)
-    cohort = _columns.from_records(records) if columnar else records
-    with _small_blocks(data):
-        whole = experiments._table(cohort, INDEX_NAMES)
-        names, table, aggregate = experiments._table(cohort, indices)
-    assert names == whole.names and aggregate is None and set(indices) <= set(table)
-    assert all(table[name] == whole.columns[name] for name in table)
 
 
 @settings(max_examples=200)
@@ -277,8 +262,8 @@ def test_library_reports_and_cli_tables_print_the_same_bytes(drawn, data):
     partitions = _outcome(library)
     for cohort in (records, _columns.from_records(records)):
         with _small_blocks(data):
-            table = experiments._table(cohort, INDEX_NAMES)
-            split = _outcome(lambda: experiments._partitions(cohort))
+            table = experiments._table(cohort)
+            split = _outcome(lambda: experiments._partitions(table))
         for fmt in FORMATS:
             assert emit_report(table, fmt) == emit_report(profiles, fmt)
             if isinstance(partitions, str):  # an uncited researcher: both fail with one message
@@ -308,7 +293,7 @@ def test_kernel_edge_records():
     rows = _kernel_rows(columns)
     assert rows == [_kernel(r.counts) for r in records] and rows[2][3] == 10
     with pytest.raises(ValueError, match="^no citations for 'empty': partition proportions are undefined$"):
-        experiments._partitions(columns)
+        experiments._partitions(experiments._table(columns))
 
 
 _EDGE_COHORTS = {
@@ -345,11 +330,11 @@ def test_kernel_falls_back_to_the_scalar_kernel_past_exact_sums():
 
 
 def test_partitions_fall_back_to_the_scalar_kernel_past_exact_sums():
-    """hcore's request takes ``metrics._kernel`` past ``_TERMS`` cited papers too, and reads what the records do."""
+    """hcore's whole table takes ``metrics._kernel`` past ``_TERMS`` cited papers too, and reads what the records do."""
     records = [CitationRecord.from_counts(f"r{i}", [i + 3, 2, 1, 0][:i + 1]) for i in range(5)]
-    expected = experiments._partitions(records)
+    expected = experiments._partitions(experiments._table(records))
     with mock.patch.object(_columns, "_TERMS", 3), mock.patch.object(_columns, "_kernel", wraps=_kernel) as scalar:
-        assert experiments._partitions(_columns.from_records(records)) == expected
+        assert experiments._partitions(experiments._table(_columns.from_records(records))) == expected
     assert scalar.called
 
 

@@ -132,7 +132,7 @@ def test_rank_change_roster_mismatch():
         rank_change_report([rec("a", [1])], [rec("b", [1])], "j")
 
 
-_EMPTY = "values must be a non-empty one-dimensional sequence"
+_EMPTY = "values must be a non-empty one-dimensional sequence of numbers"
 _UNDEFINED_A = "A is undefined for records with h = 0"
 _CEILING = "total_publications cannot exceed the stored counts by more than 1000000000"
 

@@ -757,6 +757,22 @@ def test_every_format_written_block_by_block_is_written_cell_by_cell(block, exam
         check()
 
 
+_cell_values = (st.floats() | st.integers() | st.fractions()
+                | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, -1, -0.5, 2**53 + 1, -(2**64), 10**30]))
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(sorted(set(reports._CELLS) - {"str"})), st.data())
+def test_csv_needs_to_quote_no_text_but_a_str_cells(kind, data):
+    """csv quotes str cells alone: no other kind's text holds a comma, a quote or a line break."""
+    value = data.draw(st.none() | _cell_values if kind == "A" else _cell_values)
+    try:
+        text = reports._CELLS[kind][0](value)
+    except (TypeError, ValueError, OverflowError):  # a value that a kind cannot show fails in every format
+        return
+    assert not set(text) & set(',"\r\n') and csv_field(text) == text
+
+
 def _json_lines_counting_a_and_r(monkeypatch, report):
     """json-lines of ``report``, and the A and R values its json converters were called with."""
     seen = {"A": [], "R": []}

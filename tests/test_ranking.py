@@ -543,13 +543,21 @@ def test_both_paths_reject_non_finite_and_unfixed_ranks(ranks):
                                                                 "(average-tie) ranking")] * 2
 
 
+_NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
+
+
 @pytest.mark.parametrize("work,message", [
     (lambda: rank_untied([1, 2], [1], [1, 2]), "values, h and t must have the same shape"),
     (lambda: rank_untied([1, 2], [1, 2], [1, 2, 3]), "values, h and t must have the same shape"),
-    (lambda: rank_descending([]), "values must be a non-empty one-dimensional sequence"),
-    (lambda: rank_descending([[1, 2], [3, 4]]), "values must be a non-empty one-dimensional sequence"),
-    (lambda: rank_descending(5.0), "values must be a non-empty one-dimensional sequence"),
-    (lambda: rank_untied(5.0, [1], [1]), "values must be a non-empty one-dimensional sequence"),
+    (lambda: rank_descending([]), _NOT_NUMBERS),
+    (lambda: rank_descending([[1, 2], [3, 4]]), _NOT_NUMBERS),
+    (lambda: rank_descending(5.0), _NOT_NUMBERS),
+    (lambda: rank_untied(5.0, [1], [1]), _NOT_NUMBERS),
+    (lambda: rank_descending([1.0, None]), _NOT_NUMBERS),  # numpy reads None as NaN
+    (lambda: rank_descending([[1, 2], [3]]), _NOT_NUMBERS),  # ragged
+    (lambda: rank_descending({1.0, 2.0}), _NOT_NUMBERS),
+    (lambda: rank_descending({1: 2.0, 2: 1.0}), _NOT_NUMBERS),
+    (lambda: rank_untied([1.0, "x"], [1, 1], [1, 1]), _NOT_NUMBERS),
     (lambda: rank_untied([1, 2], [None, 1], [1, 1]), "h and t must be one-dimensional sequences of numbers"),
     (lambda: rank_untied([1, math.nan], [1, 1], [1, 1]), "values contain NaN"),
     (lambda: rank_untied([1.0, 1.0, 2.0], [math.nan, 1.0, 1.0], [1, 1, 1]), "h contains NaN"),

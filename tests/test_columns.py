@@ -285,6 +285,29 @@ def test_manipulated_columns_match_apply_manipulation(drawn, mode, data):
         assert _kernel_rows(columns) == [_kernel(r.counts) for r in records]
 
 
+@pytest.mark.parametrize("mode", list(ManipulationMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("columnar", [False, True], ids=["records", "columns"])
+@settings(max_examples=100)
+@given(_cohorts, st.data())
+def test_every_manipulated_table_matches_index_profile_of_the_manipulated_records(mode, columnar, drawn, data):
+    """``_table`` after a mode, whole or j alone, holds what ``index_profile`` reads of each manipulated record,
+    or fails with ``apply_manipulation``'s message."""
+    records = _outcome(lambda: [apply_manipulation(r, mode) for r in _cohort(drawn)])
+    cohort = _columns.from_records(_cohort(drawn)) if columnar else _cohort(drawn)
+    with _small_blocks(data):
+        whole = _outcome(lambda: experiments._table(cohort, mode))
+        j = _outcome(lambda: experiments._table(cohort, mode, alone=True))
+    if isinstance(records, str):  # a decrement past MAX_COUNT unstored papers
+        assert whole == j == records
+        return
+    profiles = [index_profile(r) for r in records]
+    assert whole.names == tuple(r.researcher_id for r in records) and whole.aggregate is None
+    assert whole.columns["A"] == [None if p.a is None else float(p.a) for p in profiles]
+    assert all(whole.columns[name] == [getattr(p, INDEX_FIELDS[name]) for p in profiles]
+               for name in INDEX_NAMES if name != "A")
+    assert j == (whole.names, {"j": whole.columns["j"]}, None)
+
+
 def test_kernel_edge_records():
     records = [CitationRecord.from_counts("empty", []), CitationRecord("zeros", (0, 0, 0), 5),
                CitationRecord.from_counts("lone", [100]),  # unbounded g: 10 from one paper

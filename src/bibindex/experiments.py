@@ -274,26 +274,20 @@ def _aggregate_from_index_rows(dataset: CohortDataset) -> DisciplineAggregate:
     return DisciplineAggregate(dataset.discipline, None, None, None, None, g1, g2, g1 - g2, 1.0 - g1)
 
 
-def reproduce_table(table_id, dataset=None) -> AssociationTable | AggregateTable:
+def reproduce_table(table_id) -> AssociationTable | AggregateTable:
     """Recompute one of the five reference tables from bundled cohort data.
 
     T1..T4 rank a discipline's researchers by each index column and emit
     the full pairwise association grid; T5 emits the pooled h-core
-    proportions for all three disciplines.  ``dataset`` overrides the
-    bundled data (a single cohort for T1..T4, a sequence for T5).
+    proportions for all three disciplines.
     """
     table_id = _normalise_table_id(table_id)
     if table_id == "T5":
-        if dataset is None:
-            dataset = [load_bundled_dataset(d) for d in ("immunology", "economics", "physics")]
-        return AggregateTable("T5", "Citation share inside and outside the h-core, by discipline",
-                              tuple(_aggregate_from_index_rows(cohort) for cohort in dataset))
+        return AggregateTable("T5", "Citation share inside and outside the h-core, by discipline", tuple(
+            _aggregate_from_index_rows(load_bundled_dataset(d)) for d in ("immunology", "economics", "physics")))
 
     discipline, row_indices, col_indices, caption = _ASSOCIATION_TABLES[table_id]
-    if dataset is None:
-        dataset = load_bundled_dataset(discipline)
-    if dataset.discipline != discipline:
-        raise ValueError(f"{table_id} expects the {discipline} cohort, got {dataset.discipline!r}")
+    dataset = load_bundled_dataset(discipline)
 
     h, t, names = dataset.column("h"), dataset.column("T"), dataset.names  # one roster for every ranking
     reports = association_grid(row_indices, col_indices, lambda name: rank_untied(

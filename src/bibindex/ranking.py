@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping, Set
+from collections.abc import Mapping, MappingView, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 # that.  association_matrix of T, h, g x j, jS, plain Python against numpy already loaded (2-vCPU
 # x86-64 VM, Python 3.11, medians of 7): 1k 14 / 5 ms, 2k 28 / 10 ms, 5k 72 / 25 ms, 10k 171 / 41 ms.
 _NUMPY_FROM = 2000
+_NOT_NUMBERS = (str, bytes, complex, type(None))  # complex: astype(float) would drop the imaginary parts
 
 
 class Significance(enum.Enum):
@@ -64,7 +65,7 @@ class Ranking:
         if len(self.ids) != n:
             raise ValueError("ids and ranks must have the same length")
         # valid fractional rankings are fixed points of average re-ranking (``_ranking`` skips this)
-        ranks = [float(r) for r in self.ranks]
+        ranks = [-v for v in _negated(self.ranks, "ranks", allow_nan=True)]
         if not all(abs(a - r) <= 1e-9 for a, r in zip(_py_average_ranks(ranks), ranks)):  # False for NaN, inf
             raise ValueError("ranks are not a valid fractional (average-tie) ranking")
 
@@ -122,24 +123,28 @@ def _py_average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _negated(values):
-    """``-values`` as floats after validation: a list below ``_NUMPY_FROM`` entries, else an array."""
+def _negated(values, name: str, *, allow_nan: bool = False):
+    """``-values`` as floats, a list below ``_NUMPY_FROM`` entries, else an array: a ranking's one number check.
+
+    A cell is a number when it is not a str, bytes or None (which ``float()`` or numpy would read as numbers)
+    and ``float()`` converts it.  Anything else, a set, a mapping or its view, a scalar, or an empty, nested or
+    ragged sequence raises one ``ValueError``; so does NaN, unless ``allow_nan``.
+    """
     try:
-        if isinstance(values, (str, bytes, Set, Mapping)):  # iterable, but not a sequence of numbers
-            raise TypeError
         small = len(values) < _NUMPY_FROM
-        if small:
-            negated = [-float(v) for v in values]
-        else:
+        if not small:
             import numpy as np
-            negated = -np.asarray(values, dtype=float)
-        nan = any(map(math.isnan, negated)) if small else np.isnan(negated).any()
-        if len(negated) == 0 or not small and (negated.ndim != 1 or nan and None in values):  # numpy reads None as NaN
+            array = np.asarray(values)  # numbers make a numeric dtype, which spares a scan of the cells
+        kinds = set(map(type, values)) if small or array.dtype == object else {array.dtype.type}
+        if isinstance(values, (bytes, Set, Mapping, MappingView)) or any(issubclass(k, _NOT_NUMBERS) for k in kinds):
             raise TypeError
-    except (TypeError, ValueError):  # a scalar, a nested or ragged sequence, or a cell that is not a number
-        raise ValueError("values must be a non-empty one-dimensional sequence of numbers") from None
-    if nan:
-        raise ValueError("values contain NaN")
+        negated = [-float(v) for v in values] if small else -array.astype(float)
+        if len(negated) == 0 or not small and negated.ndim != 1:
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):  # a scalar, a nested or ragged sequence, a huge int, ...
+        raise ValueError(f"{name} must be a non-empty one-dimensional sequence of numbers") from None
+    if not allow_nan and (any(map(math.isnan, negated)) if small else np.isnan(negated).any()):
+        raise ValueError(f"{name} {'contain' if name == 'values' else 'contains'} NaN")
     return negated
 
 
@@ -160,7 +165,7 @@ def rank_descending(values: Sequence[float], *, index_name: str = "value",
     Tied values receive the arithmetic mean of the positions they span
     (e.g. [5, 5, 1] -> [1.5, 1.5, 3]).
     """
-    negated = _negated(values)
+    negated = _negated(values, "values")
     if isinstance(negated, list):
         return _ranking(index_name, ids, _py_average_ranks(negated))
     array = _average_ranks(negated)
@@ -186,17 +191,11 @@ def rank_untied(values: Sequence[float], h: Sequence[float], t: Sequence[float],
     The bundled tables' coefficients were computed under this policy;
     fractional ranks drift up to 0.015 from them on tied columns.
     """
-    negated = _negated(values)
-    try:
-        minus_h, minus_t = ([-float(v) for v in column] for column in (h, t))
-    except TypeError:  # a scalar, nested sequences or None
-        raise ValueError("h and t must be one-dimensional sequences of numbers") from None
-    if not len(negated) == len(minus_h) == len(minus_t):
+    columns = [_negated(column, name) for name, column in (("values", values), ("h", h), ("t", t))]
+    if len(set(map(len, columns))) != 1:
         raise ValueError("values, h and t must have the same shape")
-    for name, column in (("h", minus_h), ("t", minus_t)):
-        if any(map(math.isnan, column)):
-            raise ValueError(f"{name} contains NaN")
-    keys = list(zip(negated, minus_h, minus_t, range(len(negated))))  # distinct, so ranked 1..n untied
+    columns = [c if isinstance(c, list) else c.tolist() for c in columns]  # sorted as floats, not numpy scalars
+    keys = list(zip(*columns, range(len(columns[0]))))  # distinct, so ranked 1..n untied
     return _ranking(index_name, ids, _py_average_ranks(keys))
 
 

@@ -16,7 +16,6 @@ from bibindex import (
     h_core_partition,
     h_index,
     j_index,
-    load_bundled_dataset,
     manipulation_report,
     rank_change_report,
     reproduce_table,
@@ -317,12 +316,6 @@ def test_reproduce_table_accepts_int_and_string_forms():
     assert reproduce_table(1).table_id == "T1"
     assert reproduce_table("3").table_id == "T3"
     assert reproduce_table("t4").table_id == "T4"
-
-
-def test_reproduce_table_checks_discipline():
-    wrong = load_bundled_dataset("physics")
-    with pytest.raises(ValueError, match="expects the immunology cohort"):
-        reproduce_table("T1", wrong)
 
 
 def test_table2_economics_cells():

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from fractions import Fraction
 import os
 import pickle
 import subprocess
@@ -558,7 +559,26 @@ _NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
     (lambda: rank_descending({1.0, 2.0}), _NOT_NUMBERS),
     (lambda: rank_descending({1: 2.0, 2: 1.0}), _NOT_NUMBERS),
     (lambda: rank_untied([1.0, "x"], [1, 1], [1, 1]), _NOT_NUMBERS),
-    (lambda: rank_untied([1, 2], [None, 1], [1, 1]), "h and t must be one-dimensional sequences of numbers"),
+    (lambda: rank_untied([1, 2], [None, 1], [1, 1]), "h must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_descending(["2", "1"]), _NOT_NUMBERS),  # float() reads numeric text as a number
+    (lambda: rank_descending([b"2", b"1"]), _NOT_NUMBERS),
+    (lambda: rank_descending(np.array(["2", "1"])), _NOT_NUMBERS),  # read by its dtype
+    (lambda: rank_descending([1j, 2]), _NOT_NUMBERS),  # a numpy complex array would convert to its real parts
+    (lambda: rank_descending({1: 2.0, 2: 1.0}.values()), _NOT_NUMBERS),
+    (lambda: rank_descending([10**400, 1]), _NOT_NUMBERS),  # too large for a float
+    (lambda: rank_untied(["2", "1"], [1, 1], [1, 1]), _NOT_NUMBERS),
+    (lambda: rank_untied([1, 1], ["2", "1"], [1, 1]), "h must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], [b"2", b"1"], [1, 1]), "h must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], [10**400, 1], [1, 1]), "h must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], {2.0, 1.0}, [1, 1]), "h must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], {0: 2.0, 1: 1.0}, [1, 1]),
+     "h must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], [1, 1], ["2", "1"]), "t must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], [1, 1], [b"2", b"1"]), "t must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: rank_untied([1, 1], [1, 1], [10**400, 1]), "t must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: Ranking("v", "abc", ["1", "2", "3"]), "ranks must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: Ranking("v", "ab", [None, 1]), "ranks must be a non-empty one-dimensional sequence of numbers"),
+    (lambda: Ranking("v", "ab", [10**400, 1]), "ranks must be a non-empty one-dimensional sequence of numbers"),
     (lambda: rank_untied([1, math.nan], [1, 1], [1, 1]), "values contain NaN"),
     (lambda: rank_untied([1.0, 1.0, 2.0], [math.nan, 1.0, 1.0], [1, 1, 1]), "h contains NaN"),
     (lambda: rank_untied([1.0, 1.0, 2.0], [1, 1, 1], [1.0, 1.0, math.nan]), "t contains NaN"),
@@ -570,3 +590,18 @@ _NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
 ])
 def test_both_paths_raise_the_same_errors(work, message):
     assert _on_both_paths(work) == [("error", message)] * 2
+
+
+def test_bools_fractions_and_numpy_scalars_rank_as_their_floats_on_both_paths():
+    values = [True, Fraction(3, 2), np.float64(0.5), np.int64(2), 1, False]
+    h, t = [np.int64(1), True, Fraction(1, 2), 0, 1, np.float32(2)], [1, Fraction(7, 3), 3, np.int8(1), True, 0]
+    ranks = (np.float64(2.5), Fraction(5, 2), True, np.int64(4), 5, 6.0)
+
+    def rank(columns):
+        return rank_descending(columns[0]).ranks, rank_untied(*columns).ranks
+
+    floats = [[float(v) for v in column] for column in (values, h, t)]
+    assert _on_both_paths(lambda: rank((values, h, t))) == [((3.5, 2.0, 5.0, 1.0, 3.5, 6.0),
+                                                              (3.0, 2.0, 5.0, 1.0, 4.0, 6.0))] * 2
+    assert _on_both_paths(lambda: rank(floats)) == _on_both_paths(lambda: rank((values, h, t)))
+    assert _on_both_paths(lambda: Ranking("v", "abcdef", ranks).ranks) == [ranks] * 2

@@ -1,6 +1,7 @@
 """The CLI's columnar cohort: every researcher's descending counts in one flat array,
 from a long file's bytes or the parsers' records, and ``metrics._kernel`` over it,
-equal bit for bit and computed in blocks.
+equal bit for bit and computed in blocks.  It imports only ``metrics`` and ``io``, and
+``experiments`` imports it lazily.
 
 j and jS are exact segment sums.  Each term t lies in [1, 2**15): a root of a count from 1
 to MAX_COUNT < 2**30, or of a cited prefix mean, which is at least 1.  Split t into

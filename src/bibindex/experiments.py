@@ -1,6 +1,10 @@
 """Cohort-level procedures: record manipulations, the cohort table of index
 columns, rank-stability reports, pooled h-core aggregates, and the reference
-comparison tables T1..T5."""
+comparison tables T1..T5.
+
+``_table`` builds the cohort table from a list of records with the scalar kernel, record by record, or from
+``_columns.Columns`` with its blocked numpy kernel, to the same columns.  ``_columns`` is imported when columns
+first come: a list of records does not import numpy here."""
 
 from __future__ import annotations
 

@@ -15,6 +15,7 @@ from collections.abc import Mapping, MappingView, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from numbers import Complex, Real
 from operator import attrgetter, ne
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -28,7 +29,7 @@ if TYPE_CHECKING:
 # that.  association_matrix of T, h, g x j, jS, plain Python against numpy already loaded (2-vCPU
 # x86-64 VM, Python 3.11, medians of 7): 1k 14 / 5 ms, 2k 28 / 10 ms, 5k 72 / 25 ms, 10k 171 / 41 ms.
 _NUMPY_FROM = 2000
-_NOT_NUMBERS = (str, bytes, complex, type(None))  # complex: astype(float) would drop the imaginary parts
+_NOT_NUMBERS = (str, bytes, type(None))
 
 
 class Significance(enum.Enum):
@@ -126,17 +127,20 @@ def _py_average_ranks(values: Sequence[float]) -> list[float]:
 def _negated(values, name: str, *, allow_nan: bool = False):
     """``-values`` as floats, a list below ``_NUMPY_FROM`` entries, else an array: a ranking's one number check.
 
-    A cell is a number when it is not a str, bytes or None (which ``float()`` or numpy would read as numbers)
-    and ``float()`` converts it.  Anything else, a set, a mapping or its view, a scalar, or an empty, nested or
-    ragged sequence raises one ``ValueError``; so does NaN, unless ``allow_nan``.
+    A cell is a number when it is not a str, bytes or None (which ``float()`` or numpy would read as numbers),
+    nor complex (whose real part alone would be kept), and ``float()`` converts it; an array needs a bool, int or
+    float dtype (numpy reads datetimes as epoch offsets).  Anything else, a set, a mapping or its view, a scalar,
+    or an empty, nested or ragged sequence raises one ``ValueError``; so does NaN, unless ``allow_nan``.
     """
     try:
         small = len(values) < _NUMPY_FROM
         if not small:
             import numpy as np
             array = np.asarray(values)  # numbers make a numeric dtype, which spares a scan of the cells
-        kinds = set(map(type, values)) if small or array.dtype == object else {array.dtype.type}
-        if isinstance(values, (bytes, Set, Mapping, MappingView)) or any(issubclass(k, _NOT_NUMBERS) for k in kinds):
+        kinds = set(map(type, values)) if small or array.dtype.kind == "O" else ()
+        if (isinstance(values, (bytes, Set, Mapping, MappingView)) or not small and array.dtype.kind not in "biufO"
+                or any(issubclass(k, _NOT_NUMBERS) or issubclass(k, Complex) and not issubclass(k, Real)
+                       for k in kinds)):
             raise TypeError
         negated = [-float(v) for v in values] if small else -array.astype(float)
         if len(negated) == 0 or not small and negated.ndim != 1:

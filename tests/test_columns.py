@@ -435,7 +435,8 @@ def test_kernel_j_and_js_equal_fsum_on_long_runs_and_huge_counts(drawn, data):
 
 COHORT = [("ann", [10, 8, 5, 1, 1, 0]), ("bob", [9, 9, 2]), ("Müller", [30, 1, 1, 1]), ("007", [3, 0, 0]),
           ("dee", [1, 1, 1, 1])]
-COMMANDS = [["indices"], ["compare"], ["hcore"], ["manipulate", "--mode", "drop-singletons", "--index", "jS"],
+COMMANDS = [["indices"], ["compare"], ["compare", "--left", "T,h", "--right", "g"],  # a grid without j or jS
+            ["hcore"], ["manipulate", "--mode", "drop-singletons", "--index", "jS"],
             ["manipulate", "--mode", "decrement", "--index", "h"],
             ["manipulate", "--index", "j", "--mode", "decrement"]]  # j: the kernel's j alone on columns
 
@@ -449,14 +450,15 @@ def _run(capsys, argv):
 
 @pytest.fixture
 def renderings(tmp_path):
-    """One cohort as an LF long file, a CRLF long file and a wide file; the
-    long rows interleave researchers in first-appearance order."""
+    """One cohort as an LF long file, a CRLF long file, a wide file and a wide file with every count padded
+    to five places; the long rows interleave researchers in first-appearance order."""
     rows = [(name, count) for i in range(6) for name, counts in COHORT for count in counts[i:i + 1]]
     lines = ["researcher,citations"] + [f"{name},{count}" for name, count in rows]
-    paths = {name: tmp_path / f"{name}.csv" for name in ("lf", "crlf", "wide")}
+    paths = {name: tmp_path / f"{name}.csv" for name in ("lf", "crlf", "wide", "padded")}
     paths["lf"].write_bytes(("\n".join(lines) + "\n").encode())
     paths["crlf"].write_bytes(("\r\n".join(lines) + "\r\n").encode())
     paths["wide"].write_bytes("".join(f"{n},{','.join(map(str, c))}\n" for n, c in COHORT).encode())
+    paths["padded"].write_bytes("".join(n + "".join(",%5d" % count for count in c) + "\n" for n, c in COHORT).encode())
     return paths
 
 
@@ -465,12 +467,12 @@ def renderings(tmp_path):
 def test_cli_prints_the_same_on_the_reader_and_on_the_parsers(capsys, monkeypatch, renderings, command, fmt):
     assert _columns.read_long(renderings["crlf"].read_bytes()) is None  # CRLF falls back
     outputs = [_run(capsys, [command[0], str(renderings[name]), *command[1:], *flags, "--format", fmt])
-               for name, flags in (("crlf", []), ("wide", ["--wide"]))]
+               for name, flags in (("crlf", []), ("wide", ["--wide"]), ("padded", ["--wide"]))]
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_COLUMNS_FROM", 0)
         patch.setattr(cli, "_load_records", None)  # the LF file must not reach the parsers
         outputs.append(_run(capsys, [command[0], str(renderings["lf"]), *command[1:], "--format", fmt]))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 def test_a_perfbench_shaped_file_takes_the_reader(capsys, monkeypatch, tmp_path):

@@ -587,6 +587,10 @@ _NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
     (lambda: association_matrix([index_profile(CitationRecord.from_counts("a", [3, 2])),
                                  index_profile(CitationRecord.from_counts("b", [0]))], ["A"], ["T"]),
      "A is undefined for records with h = 0"),
+    (lambda: rank_descending(np.array(["2020-01-02", "2020-01-01"], "M8[D]")), _NOT_NUMBERS),  # not epoch offsets
+    (lambda: rank_descending(np.array([2, 1], "m8[s]")), _NOT_NUMBERS),
+    (lambda: rank_descending(np.array([2, 1], np.complex64)), _NOT_NUMBERS),  # nor real parts
+    (lambda: rank_descending([np.complex64(2), np.complex64(1)]), _NOT_NUMBERS),  # not a Python complex
 ])
 def test_both_paths_raise_the_same_errors(work, message):
     assert _on_both_paths(work) == [("error", message)] * 2

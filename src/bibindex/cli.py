@@ -22,11 +22,11 @@ _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
 
 # Files of at least this many bytes are read into numpy columns (``_columns``), smaller ones
 # into records, sparing numpy's import.  Seconds for indices / manipulate / compare, records
-# against columns, files of 20 counts per researcher (2-vCPU x86-64 VM, Python 3.11, medians
-# of 7): 113 KB 0.11/0.11/0.11 against 0.18/0.18/0.17; 258 KB 0.13/0.14/0.14 against
-# 0.17/0.19/0.18; 387 KB (2,400 researchers: past _NUMPY_FROM) 0.15/0.24/0.24 against 0.19/0.18/0.20.
-# The crossovers differ, so one size is a compromise: manipulate and compare gain on columns by
-# 387 KB, where their rankings load numpy anyway, while indices still loses there.
+# against columns, fresh processes through ``main``, files of 20 counts per researcher (2-vCPU
+# x86-64 VM, Python 3.11, medians of 7): 180 KB 0.11/0.11/0.11 against 0.16/0.16/0.16; 258 KB
+# 0.12/0.14/0.13 against 0.16/0.17/0.16; 387 KB (2,500 researchers: past _NUMPY_FROM) 0.14/0.27/0.28
+# against 0.18/0.20/0.23.  The crossovers differ, so one size is a compromise: manipulate and compare
+# gain on columns by 387 KB, where their rankings load numpy anyway, while indices still loses there.
 _COLUMNS_FROM = 256 << 10
 
 
@@ -166,6 +166,13 @@ def cli_dispatch(argv) -> int:
 
 
 def main() -> None:
+    """The ``bibindex`` command: ``cli_dispatch`` of the process's arguments, then exit with its status.
+
+    Before numpy can load, the command keeps OpenBLAS to the calling thread unless ``OPENBLAS_NUM_THREADS`` is
+    set: bibindex calls no BLAS routine, and the worker pool OpenBLAS starts as it loads was half of numpy's
+    import.  ``cli_dispatch`` and the library leave the process environment alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(cli_dispatch(sys.argv[1:]))
 
 

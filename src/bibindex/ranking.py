@@ -25,9 +25,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Rankings of at least this many researchers are built and measured with numpy, smaller ones
-# in plain Python, which spares a process numpy's import (0.13-0.17 s) for at most a tenth of
-# that.  association_matrix of T, h, g x j, jS, plain Python against numpy already loaded (2-vCPU
-# x86-64 VM, Python 3.11, medians of 7): 1k 14 / 5 ms, 2k 28 / 10 ms, 5k 72 / 25 ms, 10k 171 / 41 ms.
+# in plain Python, which spares a process numpy's import (0.11-0.12 s in a library process, 0.05-0.06 s
+# under the ``bibindex`` command, which keeps OpenBLAS to one thread) for at most a tenth of the
+# library's cost and a third of the command's.  association_matrix of T, h, g x j, jS, plain Python
+# against numpy already loaded (2-vCPU x86-64 VM, Python 3.11, medians of 7): 1k 14 / 5 ms, 2k 28 / 10 ms,
+# 5k 72 / 25 ms, 10k 171 / 41 ms.
 _NUMPY_FROM = 2000
 _NOT_NUMBERS = (str, bytes, type(None))
 
@@ -66,7 +68,8 @@ class Ranking:
         if len(self.ids) != n:
             raise ValueError("ids and ranks must have the same length")
         # valid fractional rankings are fixed points of average re-ranking (``_ranking`` skips this)
-        ranks = [-v for v in _negated(self.ranks, "ranks", allow_nan=True)]
+        negated = _negated(self.ranks, "ranks", allow_nan=True)
+        ranks = [-v for v in (negated if isinstance(negated, list) else negated.tolist())]  # floats, not numpy scalars
         if not all(abs(a - r) <= 1e-9 for a, r in zip(_py_average_ranks(ranks), ranks)):  # False for NaN, inf
             raise ValueError("ranks are not a valid fractional (average-tie) ranking")
 

@@ -340,19 +340,30 @@ def test_output_is_deterministic(capsys, cohort_file):
 
 
 def test_main_exits_with_the_status_and_writes_the_golden(capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # restored after the test, whatever main sets
     monkeypatch.setattr(sys, "argv", ["bibindex", "reproduce", "--table", "5"])
     with pytest.raises(SystemExit) as exited:
         cli.main()
     assert exited.value.code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert capsys.readouterr().out.encode() == (GOLDEN / "reproduce-5.plain").read_bytes()
+
+
+def test_dispatch_leaves_the_environment_alone(capsys, monkeypatch, cohort_file):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "_COLUMNS_FROM", 0)  # the columns path, which loads numpy
+    assert run(capsys, "indices", cohort_file)[0] == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_module_runs_as_a_script(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["bibindex", "reproduce", "--table", "5"])
     monkeypatch.delitem(sys.modules, "bibindex.cli")  # else runpy warns that it is already imported
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     with pytest.raises(SystemExit) as exited:
         runpy.run_module("bibindex.cli", run_name="__main__")
     assert exited.value.code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     assert capsys.readouterr().out.encode() == (GOLDEN / "reproduce-5.plain").read_bytes()
 
 
@@ -404,6 +415,34 @@ def test_numpy_is_imported_only_for_a_large_file(tmp_path):
     large.write_text("researcher,citations\n" + "".join(rows), encoding="utf-8")
     assert large.stat().st_size >= cli._COLUMNS_FROM
     assert _imported_after("numpy", ["hcore", str(large)])
+
+
+_RUN_AS_COMMAND = """import os, runpy, sys
+try:
+    runpy.run_module("bibindex.cli", run_name="__main__")
+except SystemExit as exited:
+    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    print(exited.code, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"), threads, file=sys.stderr)
+"""
+
+
+def test_the_command_runs_openblas_on_one_thread_unless_the_environment_says_otherwise(tmp_path):
+    rows = (f"r{i % 500},{i % 9 + 1}\n" for i in range(cli._COLUMNS_FROM // 4))
+    large = tmp_path / "large.csv"
+    large.write_text("researcher,citations\n" + "".join(rows), encoding="utf-8")
+    assert large.stat().st_size >= cli._COLUMNS_FROM
+    outputs = []
+    for preset in (None, "2"):
+        env = {name: value for name, value in _child_env().items() if name != "OPENBLAS_NUM_THREADS"}
+        env.update({"OPENBLAS_NUM_THREADS": preset} if preset else {})
+        done = subprocess.run([sys.executable, "-c", _RUN_AS_COMMAND, "indices", str(large)], env=env,
+                              capture_output=True, timeout=120, check=True)
+        status, numpy_loaded, value, threads = done.stderr.decode().split()
+        assert (status, numpy_loaded, value) == ("0", "True", preset or "1")
+        if preset is None and threads != "None" and os.cpu_count() >= 2:
+            assert threads == "1"
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] != b""
 
 
 def test_json_is_imported_only_for_json_lines():

@@ -544,6 +544,15 @@ def test_both_paths_reject_non_finite_and_unfixed_ranks(ranks):
                                                                 "(average-tie) ranking")] * 2
 
 
+@pytest.mark.parametrize("container", [list, np.array])
+def test_a_ranking_past_numpy_from_is_checked_from_a_list_and_from_an_array(container):
+    ids, valid = [str(i) for i in range(3000)], [float(r) for r in range(1, 3001)]
+    assert len(valid) >= ranking_module._NUMPY_FROM
+    assert Ranking("v", ids, container(valid)).ranks == tuple(valid)
+    with pytest.raises(ValueError, match=r"^ranks are not a valid fractional \(average-tie\) ranking$"):
+        Ranking("v", ids, container([*valid[:-1], valid[-2]]))  # the last two tie, so each must be 2999.5
+
+
 _NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
 
 

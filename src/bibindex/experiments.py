@@ -221,9 +221,11 @@ def _table(cohort, mode: ManipulationMode | None = None, alone: bool = False) ->
         names = cohort.names
         cohort = cohort if mode is None else _columns.manipulated(cohort, mode)
         columns = [column.tolist() for column in _columns.kernel(cohort, alone)]
+    if not names:
+        raise ValueError("empty cohort")
     if alone:
         return CohortTable(names, {"j": columns[0]})
-    table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns or [[]] * 6))
+    table = dict(zip(("T", "h", "core", "g", "j", "jS"), columns))
     table["A"] = [core / h if h else None for core, h in zip(table["core"], table["h"])]
     table["R"] = list(map(math.sqrt, table["core"]))
     return CohortTable(names, table)

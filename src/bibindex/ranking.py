@@ -101,7 +101,7 @@ class AssociationReport:
 
 
 def _average_ranks(values) -> np.ndarray:
-    """Ascending fractional ranks: rank 1 for the smallest value, ties averaged."""
+    """Ascending fractional ranks, read-only: rank 1 for the smallest value, ties averaged."""
     import numpy as np
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr)  # any order of a tie run: each of its members takes the run's mean rank
@@ -111,6 +111,7 @@ def _average_ranks(values) -> np.ndarray:
     # a run of ties at sorted positions start..end-1 takes ranks start+1..end
     ranks = np.empty(arr.size)
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    ranks.flags.writeable = False
     return ranks
 
 
@@ -155,12 +156,14 @@ def _negated(values, name: str, *, allow_nan: bool = False):
     return negated
 
 
-def _ranking(index_name: str, ids, ranks: list[float]) -> Ranking:
-    """A ranking of ranks computed here: valid by construction, so not re-ranked to check."""
+def _ranking(index_name: str, ids, ranks) -> Ranking:
+    """A ranking of ranks computed here, valid by construction: a list, or a read-only array kept as ``_array``."""
     ids = tuple(str(i) for i in range(1, len(ranks) + 1)) if ids is None else tuple(ids)
     if len(ids) != len(ranks):
         raise ValueError("ids and ranks must have the same length")
     ranking = object.__new__(Ranking)
+    if not isinstance(ranks, list):
+        vars(ranking)["_array"], ranks = ranks, ranks.tolist()  # the ranks tuple holds floats, not numpy scalars
     vars(ranking).update(index_name=index_name, ids=ids, ranks=tuple(ranks))
     return ranking
 
@@ -173,19 +176,13 @@ def rank_descending(values: Sequence[float], *, index_name: str = "value",
     (e.g. [5, 5, 1] -> [1.5, 1.5, 3]).
     """
     negated = _negated(values, "values")
-    if isinstance(negated, list):
-        return _ranking(index_name, ids, _py_average_ranks(negated))
-    array = _average_ranks(negated)
-    array.flags.writeable = False
-    ranking = _ranking(index_name, ids, array.tolist())
-    vars(ranking)["_array"] = array  # the measures' array, not rebuilt from the ranks tuple
-    return ranking
+    return _ranking(index_name, ids, (_py_average_ranks if isinstance(negated, list) else _average_ranks)(negated))
 
 
-def _ranked(values: Sequence, name: str, ids: Sequence[str] | None) -> Ranking:
+def _ranked(values: Sequence, name: str, ids: Sequence[str]) -> Ranking:
     """``rank_descending`` of an index column, whose only undefined values are A's None where h = 0."""
     if None in values:
-        raise ValueError("A is undefined for records with h = 0")
+        raise ValueError(f"A is undefined for {ids[values.index(None)]!r}: h = 0")
     return rank_descending(values, index_name=name, ids=ids)
 
 

@@ -249,8 +249,8 @@ def test_hcore_uncited_researcher_is_data_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("threshold", [0, 10**12], ids=["columns", "records"])
 @pytest.mark.parametrize("text,argv,message", [
-    (COHORT + "dan,0\n", ["compare", "--left", "A"], "A is undefined for records with h = 0"),
-    (COHORT + "dan,0\n", ["manipulate", "--index", "A", "--mode", "decrement"], "A is undefined for records with h = 0"),
+    (COHORT + "dan,0\n", ["compare", "--left", "A"], "A is undefined for 'dan': h = 0"),
+    (COHORT + "dan,0\n", ["manipulate", "--index", "A", "--mode", "decrement"], "A is undefined for 'dan': h = 0"),
     ("researcher,citations\nann,3\n", ["compare"], "association measures need at least two researchers"),
     ("researcher,citations\nann,3\nbob,2\n", ["compare"], "significance test needs n >= 3"),
     ("researcher,citations\na,3\nb,0\nb,0\nc,0\nd,1\n", ["hcore"],

@@ -319,6 +319,14 @@ def test_kernel_edge_records():
         experiments._partitions(experiments._table(columns))
 
 
+@pytest.mark.parametrize("mode", [None, *ManipulationMode], ids=lambda mode: getattr(mode, "value", "none"))
+@pytest.mark.parametrize("alone", [False, True], ids=["all", "j"])
+@pytest.mark.parametrize("empty", [lambda: [], lambda: _columns.from_records([])], ids=["records", "columns"])
+def test_a_table_of_no_researcher_is_refused_on_both_paths(empty, alone, mode):
+    with pytest.raises(ValueError, match="^empty cohort$"):
+        experiments._table(empty(), mode, alone)
+
+
 _EDGE_COHORTS = {
     "all zeros": [(0, 0, 0), (0,), ()],  # one block with no cited count at all
     "padded g": [(9, 0, 0), (4, 0), (0, 0), (9, 0, 0, 0), (3, 3, 0), (1, 0, 0, 0, 0), (10**9, 0)],

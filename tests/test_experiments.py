@@ -131,8 +131,8 @@ def test_rank_change_roster_mismatch():
         rank_change_report([rec("a", [1])], [rec("b", [1])], "j")
 
 
-_EMPTY = "values must be a non-empty one-dimensional sequence of numbers"
-_UNDEFINED_A = "A is undefined for records with h = 0"
+_EMPTY = "empty cohort"
+_UNDEFINED_A = "A is undefined for 'b': h = 0"
 _CEILING = "total_publications cannot exceed the stored counts by more than 1000000000"
 
 

@@ -524,6 +524,21 @@ def test_numpy_rankings_keep_their_ranks_as_a_read_only_array(columns):
     assert ranked == Ranking("v", ranked.ids, ranked.ranks)
 
 
+def test_average_ranks_are_read_only():
+    assert not _average_ranks([3, 1, 3]).flags.writeable
+
+
+def test_rank_descending_keeps_the_average_ranks_array_as_its_own():
+    values = np.random.default_rng(0).integers(0, 100, size=3000).tolist()
+    assert len(values) >= ranking_module._NUMPY_FROM
+    made = []
+    with mock.patch.object(ranking_module, "_average_ranks", lambda v: made.append(_average_ranks(v)) or made[-1]):
+        ranked = rank_descending(values)
+    assert len(made) == 1 and vars(ranked)["_array"] is made[0]
+    assert not ranked._array.flags.writeable and ranked._array.tolist() == list(ranked.ranks)
+    assert all(type(r) is float for r in ranked.ranks)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=4) | st.floats(-1e3, 1e3), min_size=1, max_size=60))
 def test_plain_average_ranks_equal_the_numpy_ones(values):
     assert _py_average_ranks(values) == _average_ranks(values).tolist()
@@ -595,7 +610,10 @@ _NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
     (lambda: rank_descending([1, 2], ids=["a"]), "ids and ranks must have the same length"),
     (lambda: association_matrix([index_profile(CitationRecord.from_counts("a", [3, 2])),
                                  index_profile(CitationRecord.from_counts("b", [0]))], ["A"], ["T"]),
-     "A is undefined for records with h = 0"),
+     "A is undefined for '2': h = 0"),  # the roster's default ids are the positions 1..n
+    (lambda: association_matrix([index_profile(CitationRecord.from_counts(name, counts)) for name, counts in
+                                 (("a", [3]), ("b", [0]), ("c", []))], ["A"], ["T"], ids="abc"),
+     "A is undefined for 'b': h = 0"),  # the first uncited researcher
     (lambda: rank_descending(np.array(["2020-01-02", "2020-01-01"], "M8[D]")), _NOT_NUMBERS),  # not epoch offsets
     (lambda: rank_descending(np.array([2, 1], "m8[s]")), _NOT_NUMBERS),
     (lambda: rank_descending(np.array([2, 1], np.complex64)), _NOT_NUMBERS),  # nor real parts

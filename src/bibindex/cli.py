@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import sys
 from pathlib import Path
@@ -20,8 +21,8 @@ from .reports import FORMATS, _lines
 _MODES = {"drop-singletons": ManipulationMode.DROP_SINGLETONS,
           "decrement": ManipulationMode.DECREMENT_ALL}
 
-# Files of at least this many bytes are read into numpy columns (``_columns``), smaller ones
-# into records, sparing numpy's import.  Seconds for indices / manipulate / compare, records
+# Inputs of at least this many bytes, counted once read (a pipe too), become numpy columns (``_columns``),
+# smaller ones records, sparing numpy's import.  Seconds for indices / manipulate / compare, records
 # against columns, fresh processes through ``main``, files of 20 counts per researcher (2-vCPU
 # x86-64 VM, Python 3.11, medians of 7): 180 KB 0.11/0.11/0.11 against 0.16/0.16/0.16; 258 KB
 # 0.12/0.14/0.13 against 0.16/0.17/0.16; 387 KB (2,500 researchers: past _NUMPY_FROM) 0.14/0.27/0.28
@@ -90,14 +91,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_records(args):
-    parse = parse_citations_wide if args.wide else parse_citations_csv
+def _load_records(data: bytes, wide: bool):
+    parse = parse_citations_wide if wide else parse_citations_csv
     try:
-        with open(args.file, newline="", encoding="utf-8") as stream:
-            return parse(stream)
-    except UnicodeDecodeError:  # raised a chunk ahead of the parser: read again, a line at a time
-        with open(args.file, "rb") as stream:
-            return parse(_utf8_lines(stream))
+        return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    except UnicodeDecodeError:  # raised a chunk ahead of the parser: parse the same bytes a line at a time
+        return parse(_utf8_lines(io.BytesIO(data)))
 
 
 def _utf8_lines(stream):
@@ -120,13 +119,13 @@ def _index_list(text: str) -> tuple[str, ...]:
 
 
 def _cohort(args):
-    """The file's researchers: records below ``_COLUMNS_FROM`` bytes, else ``_columns.Columns``."""
-    if os.path.getsize(args.file) < _COLUMNS_FROM:
-        return _load_records(args)
+    """The file's researchers, read once: records below ``_COLUMNS_FROM`` bytes, else ``_columns.Columns``."""
+    data = Path(args.file).read_bytes()  # a pipe's size is known only once it is read
+    if len(data) < _COLUMNS_FROM:
+        return _load_records(data, args.wide)
     from . import _columns
     # a long file's bytes become columns unless the reader declines; the parsers read the rest
-    columns = None if args.wide else _columns.read_long(Path(args.file).read_bytes())
-    return columns or _columns.from_records(_load_records(args))
+    return (None if args.wide else _columns.read_long(data)) or _columns.from_records(_load_records(data, args.wide))
 
 
 def _run(args):  # the command's report

@@ -352,10 +352,13 @@ def association_grid(left: Sequence[str], right: Sequence[str],
     """Association reports for every (left, right) pair of index names.
 
     Pairs of an index with itself are omitted; ``rank(name)`` is called
-    once for each index that appears in a remaining pair.
+    once for each index that appears in a remaining pair.  A roster of
+    fewer than 3 researchers is refused once every ranking is built.
     """
     pairs = [(row, col) for row in left for col in right if row != col]
     rankings = {name: rank(name) for name in dict.fromkeys(name for pair in pairs for name in pair)}
+    if (n := min(map(len, rankings.values()), default=3)) < 3:  # the significance test's minimum, stated once
+        raise ValueError(f"association reports need at least 3 researchers, got {n}")
     return [associate(rankings[row], rankings[col]) for row, col in pairs]
 
 

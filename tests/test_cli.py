@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, formats and exit codes."""
 
+import builtins
 import csv
 import errno
 import io
@@ -222,6 +223,42 @@ def test_the_first_error_in_file_order_wins_over_bad_utf8(capsys, tmp_path, flag
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("data", [
+    b"researcher,citations\na,1\nb\xfc,2\n",
+    "".join(["researcher,citations\n", *(f"r{i % 500},{i % 9 + 1}\n" for i in range(1 << 18))]).encode() + b"\xfc,2\n",
+], ids=["small", "past-the-first-MiB"])  # 1.8 MB, the bad byte on its last line
+def test_piped_input_is_refused_as_the_same_file_is(tmp_path, data):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    piped, named = (subprocess.run([sys.executable, "-m", "bibindex.cli", "indices", name], input=data,
+                                   capture_output=True, env=_child_env(), timeout=120) for name in ("/dev/stdin", path))
+    message = b"error: line %d: not valid UTF-8 (byte 0xfc)\n" % data.count(b"\n")  # the last line's byte
+    assert (piped.returncode, piped.stdout, piped.stderr) == (2, b"", message)
+    assert (named.returncode, named.stdout, named.stderr) == (piped.returncode, piped.stdout, piped.stderr)
+
+
+@pytest.mark.parametrize("rows,end,bad", [(3, "\n", False), (cli._COLUMNS_FROM // 4, "\n", False),
+                                          (cli._COLUMNS_FROM // 4, "\r\n", False), (3, "\n", True),
+                                          (cli._COLUMNS_FROM // 4, "\n", True)],
+                         ids=["small", "large-lf", "large-crlf", "small-latin1", "large-latin1"])
+def test_the_input_is_opened_once(capsys, monkeypatch, tmp_path, rows, end, bad):
+    lines = ["researcher,citations", *(f"r{i % 500},{i % 9 + 1}" for i in range(rows)), *(["M\xfcller,2"] * bad)]
+    path = tmp_path / "cohort.csv"
+    path.write_bytes((end.join(lines) + end).encode("latin-1"))
+    opened, real_open = [], io.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    status, _, err = run(capsys, "indices", str(path))
+    assert (status, err) == ((2, f"error: line {len(lines)}: not valid UTF-8 (byte 0xfc)\n") if bad else (0, ""))
+    assert opened.count(str(path)) == 1
+
+
 @pytest.mark.parametrize("command", ["indices", "compare", "hcore"])
 def test_huge_count_is_data_error(capsys, tmp_path, command):
     path = tmp_path / "huge.csv"
@@ -251,8 +288,8 @@ def test_hcore_uncited_researcher_is_data_error(capsys, tmp_path):
 @pytest.mark.parametrize("text,argv,message", [
     (COHORT + "dan,0\n", ["compare", "--left", "A"], "A is undefined for 'dan': h = 0"),
     (COHORT + "dan,0\n", ["manipulate", "--index", "A", "--mode", "decrement"], "A is undefined for 'dan': h = 0"),
-    ("researcher,citations\nann,3\n", ["compare"], "association measures need at least two researchers"),
-    ("researcher,citations\nann,3\nbob,2\n", ["compare"], "significance test needs n >= 3"),
+    ("researcher,citations\nann,3\n", ["compare"], "association reports need at least 3 researchers, got 1"),
+    ("researcher,citations\nann,3\nbob,2\n", ["compare"], "association reports need at least 3 researchers, got 2"),
     ("researcher,citations\na,3\nb,0\nb,0\nc,0\nd,1\n", ["hcore"],
      "no citations for 'b': partition proportions are undefined"),
 ])

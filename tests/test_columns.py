@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import math
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -494,6 +496,31 @@ def test_a_perfbench_shaped_file_takes_the_reader(capsys, monkeypatch, tmp_path)
     monkeypatch.setattr(cli, "_load_records", None)  # the parsers are not reached
     assert _run(capsys, ["indices", str(path)]).count("\n") == 51
     assert _records(_columns.read_long(path.read_bytes())) == _as_tuples(_parse(path.read_bytes()))
+
+
+def _feed(fd, data):
+    """Write ``data`` to a pipe's write end ``fd`` and close it; a reader that has closed its end ends the write."""
+    with contextlib.suppress(BrokenPipeError), open(fd, "wb") as stream:
+        stream.write(data)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_piped_long_file_takes_the_reader(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "large.csv"
+    path.write_text("researcher,citations\n" + "".join(f"r{i % 500},{i % 9 + 1}\n" for i in range(1 << 16)),
+                    encoding="utf-8")
+    assert path.stat().st_size >= cli._COLUMNS_FROM
+    monkeypatch.setattr(cli, "_load_records", None)  # neither run reaches the parsers
+    read, write = os.pipe()
+    feeder = threading.Thread(target=_feed, args=(write, path.read_bytes()))
+    feeder.start()
+    try:
+        piped = _run(capsys, ["indices", f"/dev/fd/{read}"])  # a pipe's size is 0 until it is read
+    finally:
+        os.close(read)
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+    assert piped == _run(capsys, ["indices", str(path)]) != ""
 
 
 @pytest.fixture(scope="module")

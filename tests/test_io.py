@@ -702,24 +702,37 @@ def test_json_lines_of_a_real_cohort_are_the_rows_as_json_writes_dicts():
 
 # every format, block by block, against cell-by-cell references
 
+_CELL_ERRORS = (TypeError, ValueError, OverflowError)
+
+
 def _reference_text(report, fmt):
     """Plain or csv as every cell's _CELLS text: csv quotes them, plain pads each to its column's widest and strips
-    each line's end, then adds the caption above and a manipulation's rank changes below."""
+    each line's end, then adds the caption above and a manipulation's rank changes below.  Also the set of error
+    types the report's failing cells raise: which of them a renderer meets first depends on its cell order."""
+    errors = set()
+
+    def text(convert, value):
+        try:
+            return convert(value)
+        except _CELL_ERRORS as err:
+            errors.add(type(err))
+            return ""
+
     view = reports._view(report)
     parts = [part for part in view.parts if fmt in part.formats]
     header = tuple(dict.fromkeys(key for part in parts for key, _ in part.columns))
     rows = [header]
     for part in parts:
         for row in _part_rows(part):
-            cells = {key: reports._CELLS[kind][0](value) for (key, kind), value in zip(part.columns, row)}
+            cells = {key: text(reports._CELLS[kind][0], value) for (key, kind), value in zip(part.columns, row)}
             rows.append([cells.get(key, "") for key in header])
     if fmt == "csv":
-        return "\n".join(",".join(map(csv_field, row)) for row in rows)
+        return "\n".join(",".join(map(csv_field, row)) for row in rows), errors
     widths = [max(map(len, column)) for column in zip(*rows)]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
     if isinstance(report, ManipulationReport):
-        lines += ["", *reports._prose(report.change)]
-    return "\n".join(lines if view.caption is None else [view.caption, *lines])
+        lines += ["", *text(reports._prose, report.change)]
+    return "\n".join(lines if view.caption is None else [view.caption, *lines]), errors
 
 
 def _cycled(report, n):
@@ -735,11 +748,15 @@ def _cycled(report, n):
                                                                  if isinstance(report, ManipulationReport) else {}))
 
 
-def _text_or_error(render, report, fmt):
+def _check_text(report, fmt):
+    """``emit_report`` writes the reference's text, or raises one of the errors of the report's failing cells."""
+    expected, errors = _reference_text(report, fmt)
     try:
-        return render(report, fmt)
-    except (TypeError, ValueError, OverflowError) as err:
-        return type(err)
+        written = emit_report(report, fmt)
+    except _CELL_ERRORS as err:
+        assert type(err) in errors
+    else:
+        assert not errors and written == expected
 
 
 @pytest.mark.parametrize("block, examples", [(1, 150), (2, 150), (3, 150), (reports._BLOCK, 12)])
@@ -751,10 +768,20 @@ def test_every_format_written_block_by_block_is_written_cell_by_cell(block, exam
         assert emit_report(report, "json-lines") == _reference_json_lines(report)
         fmts = ["csv", "plain"] if not reports._view(report).layout or isinstance(report, ManipulationReport) else ["csv"]
         for fmt in fmts:  # plain but for the grid and the prose; a cell without text (a None mean) fails either way
-            assert _text_or_error(emit_report, report, fmt) == _text_or_error(_reference_text, report, fmt)
+            _check_text(report, fmt)
 
     with mock.patch.object(reports, "_BLOCK", block):
         check()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+def test_a_report_whose_cells_fail_in_two_ways_raises_one_of_them(fmt):
+    # the renderer reads the table column by column and the reference row by row: each meets another error first
+    change = RankChangeReport("j", (), (), 4)
+    report = ManipulationReport("j", ManipulationMode.DECREMENT_ALL, ("a", "b", "c", "d"), (1.0,) * 4, (1.0,) * 4,
+                                (0.0, math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0), change)
+    assert _reference_text(report, fmt)[1] == {ValueError, OverflowError}
+    _check_text(report, fmt)
 
 
 _cell_values = (st.floats() | st.integers() | st.fractions()

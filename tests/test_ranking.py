@@ -614,6 +614,10 @@ _NOT_NUMBERS = "values must be a non-empty one-dimensional sequence of numbers"
     (lambda: association_matrix([index_profile(CitationRecord.from_counts(name, counts)) for name, counts in
                                  (("a", [3]), ("b", [0]), ("c", []))], ["A"], ["T"], ids="abc"),
      "A is undefined for 'b': h = 0"),  # the first uncited researcher
+    (lambda: association_matrix([index_profile(CitationRecord.from_counts("a", [3]))], ["T"], ["j"]),
+     "association reports need at least 3 researchers, got 1"),
+    (lambda: association_matrix([index_profile(CitationRecord.from_counts(name, [3, 1])) for name in "ab"],
+                                ["T", "h"], ["j"]), "association reports need at least 3 researchers, got 2"),
     (lambda: rank_descending(np.array(["2020-01-02", "2020-01-01"], "M8[D]")), _NOT_NUMBERS),  # not epoch offsets
     (lambda: rank_descending(np.array([2, 1], "m8[s]")), _NOT_NUMBERS),
     (lambda: rank_descending(np.array([2, 1], np.complex64)), _NOT_NUMBERS),  # nor real parts
